@@ -2,9 +2,9 @@
 control policies.
 
 A state holds every traffic participant's pose/extent/speed; per-agent
-policies advance each participant one step at a time off the frozen
-previous state while a pluggable controller drives the ego; metrics score
-the resulting episodes for realism, reactivity, and planner failures.
+policies advance each participant, the ego included, one step at a time
+off the frozen previous state; metrics score the resulting episodes for
+realism, reactivity, and planner failures.
 """
 from .core import (
     AgentState,
@@ -26,6 +26,7 @@ from .core import (
 from .engine import SimConfig, run_mode, step, unroll
 from .kinematics import Control, advance, fit_controls
 from .policies import (
+    BrakeToStopPolicy,
     ConstantVelocityPolicy,
     FeatureExtractor,
     LogReplayPolicy,
@@ -39,6 +40,6 @@ from .policies import (
     mlp_train,
     policy_act,
 )
-from .raster import Grid, connected_components, extract_agents, render
+from .raster import Grid, connected_components, extract_from_channel, render
 
 __version__ = "0.1.0"

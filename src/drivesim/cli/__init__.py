@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .. import metrics
-from ..engine import run_mode
+from ..core import Episode
+from ..engine import run_mode, sample_initial_state
 from ..policies import build_bc_dataset, mlp_loss, mlp_train, save_mlp, controls_to_targets
 from .config import ConfigError, RunSetup, load_run_config
 from .logs import read_episode_dir, read_episode_log, write_episode_log
@@ -86,7 +87,7 @@ def _setup(args) -> RunSetup:
 
 def cmd_simulate(args) -> int:
     setup = _setup(args)
-    n_episodes = int(setup.mode.get("episodes", 1))
+    n_episodes = setup.mode_value("episodes", 1, int)
     out = Path(args.out)
     episodes = []
     for k in range(n_episodes):
@@ -98,12 +99,11 @@ def cmd_simulate(args) -> int:
             smap=setup.smap,
             cfg=cfg,
             make_policies=setup.policies_factory(),
-            ego_factory=setup.ego_factory(),
             location=setup.location(),
             s1=setup.initial_state(),
             dataset=setup.dataset(),
             proc_cfg=setup.procedural_config(),
-            anchor_radius=float(setup.mode.get("anchor_radius", 1e9)),
+            anchor_radius=setup.mode_value("anchor_radius", 1e9),
             forced_paths=setup.forced_paths() or None,
         )
         episodes.append(episode)
@@ -204,28 +204,17 @@ def cmd_render(args) -> int:
 
 
 def cmd_sample_state(args) -> int:
-    from ..core import Episode
-    from ..engine import stream_rng
-    from .. import initstate
-
     setup = _setup(args)
     cfg = setup.sim_config
-    if setup.mode_name == "full":
-        location = initstate.sample_location(setup.smap, stream_rng(cfg.seed, "location"))
-    else:
-        location = setup.location()
-        if location is None:
-            raise ValueError("sample-state needs mode.location unless mode is 'full'")
-    rng = stream_rng(cfg.seed, "initstate")
-    dataset = setup.dataset()
-    if dataset:
-        state = initstate.sample_state_empirical(
-            dataset, location, float(setup.mode.get("anchor_radius", 1e9)), rng
-        )
-    else:
-        state = initstate.sample_state_procedural(
-            setup.smap, location, setup.procedural_config(), rng
-        )
+    location, state = sample_initial_state(
+        setup.mode_name,
+        setup.smap,
+        cfg,
+        location=setup.location(),
+        dataset=setup.dataset(),
+        proc_cfg=setup.procedural_config(),
+        anchor_radius=setup.mode_value("anchor_radius", 1e9),
+    )
     episode = Episode(dt=cfg.dt, map_id=setup.smap.map_id, states=(state,), termination="external")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_episode_log(episode, args.out)

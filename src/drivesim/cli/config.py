@@ -9,16 +9,11 @@ from typing import Optional
 import numpy as np
 
 from ..core import Episode, Pose2, SemanticMap, SimState, load_map
-from ..engine import (
-    BrakeToStopEgo,
-    ConstantVelocityEgo,
-    LogReplayEgo,
-    PolicyEgo,
-    SimConfig,
-)
+from ..engine import SimConfig
 from ..initstate import ProceduralConfig
 from ..metrics import PlannerThresholds
 from ..policies import (
+    BrakeToStopPolicy,
     ConstantVelocityPolicy,
     FeatureExtractor,
     LogReplayPolicy,
@@ -102,6 +97,28 @@ def load_run_config(path: str | Path) -> dict:
     return doc
 
 
+def _value(section: dict, where: str, key: str, default, convert=float):
+    """section[key], or default, through convert; a ConfigError naming the
+    key when the value does not convert."""
+    value = section.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {where}.{key}: bad value {value!r}") from None
+
+
+def _floats(n: int):
+    """A converter for a list of exactly n numbers."""
+
+    def convert(value) -> tuple:
+        out = tuple(float(v) for v in value)
+        if len(out) != n:
+            raise ValueError(f"expected {n} numbers")
+        return out
+
+    return convert
+
+
 class RunSetup:
     """Everything a command needs, resolved from a config document.
 
@@ -113,18 +130,21 @@ class RunSetup:
         self.base_dir = base_dir
         sim = doc.get("sim", {})
         self.sim_config = SimConfig(
-            dt=float(sim.get("dt", 0.1)),
-            horizon_steps=int(sim.get("horizon", 50)),
-            seed=int(seed_override if seed_override is not None else sim.get("seed", 0)),
+            dt=_value(sim, "sim", "dt", 0.1),
+            horizon_steps=_value(sim, "sim", "horizon", 50, int),
+            seed=seed_override if seed_override is not None else _value(sim, "sim", "seed", 0, int),
             interrupt_on_ego_collision=bool(sim.get("interrupt_on_collision", True)),
-            control_noise=tuple(sim.get("noise", (0.0, 0.0))),
-            roi_radius=float(sim.get("roi_radius", 200.0)),
+            control_noise=_value(sim, "sim", "noise", (0.0, 0.0), _floats(2)),
+            roi_radius=_value(sim, "sim", "roi_radius", 200.0),
             workers=max(1, int(jobs)),
         )
         self.mode = doc.get("mode", {})
         self.mode_name = self.mode.get("name", "scenario")
         self._map: Optional[SemanticMap] = None
         self._source: Optional[Episode] = None
+
+    def mode_value(self, key: str, default, convert=float):
+        return _value(self.mode, "mode", key, default, convert)
 
     def _resolve(self, rel: str) -> Path:
         p = Path(rel)
@@ -153,15 +173,14 @@ class RunSetup:
         kept so log-replay policies stay aligned with the source."""
         if self.mode_name not in ("scenario", "behaviour"):
             return None
-        frame = int(self.mode.get("source_frame", 0))
+        frame = self.mode_value("source_frame", 0, int)
         source = self.source_episode
         return source.state_at(source.states[0].step_index + frame)
 
     def location(self) -> Optional[Pose2]:
         if "location" not in self.mode:
             return None
-        x, y, yaw = self.mode["location"]
-        return Pose2(float(x), float(y), float(yaw))
+        return Pose2(*self.mode_value("location", None, _floats(3)))
 
     def dataset(self) -> Optional[list[Episode]]:
         if "dataset_dir" not in self.mode:
@@ -173,9 +192,9 @@ class RunSetup:
     def procedural_config(self) -> ProceduralConfig:
         proc = self.mode.get("procedural", {})
         return ProceduralConfig(
-            agents_mean=float(proc.get("agents_mean", 5.0)),
-            min_gap=float(proc.get("min_gap", 8.0)),
-            speed_range=tuple(proc.get("speed_range", (0.0, 12.0))),
+            agents_mean=_value(proc, "mode.procedural", "agents_mean", 5.0),
+            min_gap=_value(proc, "mode.procedural", "min_gap", 8.0),
+            speed_range=_value(proc, "mode.procedural", "speed_range", (0.0, 12.0), _floats(2)),
         )
 
     def forced_paths(self) -> dict[str, np.ndarray]:
@@ -190,13 +209,14 @@ class RunSetup:
             return ConstantVelocityPolicy()
         if name == "reactive_follow":
             reactive = cfg.get("reactive", {})
+            where = "policies.reactive"
             return ReactiveFollowPolicy(
                 dt=self.sim_config.dt,
-                a_max=float(reactive.get("a_max", 1.5)),
-                b=float(reactive.get("b", 2.0)),
-                s0=float(reactive.get("s0", 2.0)),
-                t_headway=float(reactive.get("t_headway", 1.5)),
-                v0=float(reactive.get("v0", 10.0)),
+                a_max=_value(reactive, where, "a_max", 1.5),
+                b=_value(reactive, where, "b", 2.0),
+                s0=_value(reactive, where, "s0", 2.0),
+                t_headway=_value(reactive, where, "t_headway", 1.5),
+                v0=_value(reactive, where, "v0", 10.0),
             )
         if name == "log_replay":
             return LogReplayPolicy(self.source_episode)
@@ -207,72 +227,68 @@ class RunSetup:
             return MlpPolicy(mlp, FeatureExtractor(dt=self.sim_config.dt))
         raise ConfigError(f"unknown policy {name!r} (expected one of {POLICY_NAMES})")
 
+    def _ego_policy(self):
+        """The ego's policy, named by ego.controller."""
+        cfg = self.doc.get("ego", {})
+        name = cfg.get("controller", "constant")
+        if name == "brake_stop":
+            decel = _value(cfg.get("params", {}), "ego.params", "decel", 2.5)
+            return BrakeToStopPolicy(dt=self.sim_config.dt, decel=decel)
+        if name not in EGO_NAMES:
+            raise ConfigError(f"unknown ego controller {name!r} (expected one of {EGO_NAMES})")
+        return self._make_policy(name)
+
     def policies_factory(self):
+        """state -> policy table for every agent: policies.default and
+        policies.overrides for the others, ego.controller for the ego."""
         cfg = self.doc.get("policies", {})
         default_name = cfg.get("default", "constant")
         overrides = cfg.get("overrides", {})
 
         def make(state: SimState) -> dict:
-            table = {}
-            for agent in state.agents:
-                if agent.id == state.ego_id:
-                    continue
-                table[agent.id] = self._make_policy(overrides.get(agent.id, default_name))
+            table = {
+                a.id: self._make_policy(overrides.get(a.id, default_name))
+                for a in state.agents
+                if a.id != state.ego_id
+            }
+            table[state.ego_id] = self._ego_policy()
             return table
-
-        return make
-
-    def ego_factory(self):
-        cfg = self.doc.get("ego", {})
-        name = cfg.get("controller", "constant")
-        params = cfg.get("params", {})
-        dt = self.sim_config.dt
-
-        def make(state: SimState):
-            if name == "constant":
-                return ConstantVelocityEgo(dt)
-            if name == "log_replay":
-                return LogReplayEgo(self.source_episode)
-            if name == "reactive_follow":
-                return PolicyEgo(self._make_policy("reactive_follow"), self.smap, dt)
-            if name == "brake_stop":
-                return BrakeToStopEgo(dt, decel=float(params.get("decel", 2.5)))
-            raise ConfigError(f"unknown ego controller {name!r} (expected one of {EGO_NAMES})")
 
         return make
 
     def train_config(self) -> TrainConfig:
         train = self.doc.get("policies", {}).get("train", {})
         return TrainConfig(
-            lr=float(train.get("lr", 1e-3)),
-            batch=int(train.get("batch", 64)),
-            epochs=int(train.get("epochs", 30)),
+            lr=_value(train, "policies.train", "lr", 1e-3),
+            batch=_value(train, "policies.train", "batch", 64, int),
+            epochs=_value(train, "policies.train", "epochs", 30, int),
             seed=self.sim_config.seed,
-            hidden=tuple(train.get("hidden", (32, 32))),
+            hidden=_value(train, "policies.train", "hidden", (32, 32), lambda v: tuple(int(n) for n in v)),
         )
 
     def history_s(self) -> float:
-        return float(self.doc.get("policies", {}).get("train", {}).get("history_s", 1.0))
+        return _value(self.doc.get("policies", {}).get("train", {}), "policies.train", "history_s", 1.0)
 
     def planner_thresholds(self) -> PlannerThresholds:
         m = self.doc.get("metrics", {})
         return PlannerThresholds(
-            d_thresh=float(m.get("d_thresh", 5.0)),
-            window_s=float(m.get("window_s", 3.0)),
-            kappa=float(m.get("kappa", 0.5)),
-            g_free=float(m.get("g_free", 10.0)),
-            l_thresh=float(m.get("l_thresh", 2.0)),
+            d_thresh=_value(m, "metrics", "d_thresh", 5.0),
+            window_s=_value(m, "metrics", "window_s", 3.0),
+            kappa=_value(m, "metrics", "kappa", 0.5),
+            g_free=_value(m, "metrics", "g_free", 10.0),
+            l_thresh=_value(m, "metrics", "l_thresh", 2.0),
         )
 
     def horizons(self) -> list[float]:
-        return [float(h) for h in self.doc.get("metrics", {}).get("horizons", (0.5, 1, 2, 3, 4, 5))]
+        m = self.doc.get("metrics", {})
+        return _value(m, "metrics", "horizons", (0.5, 1, 2, 3, 4, 5), lambda v: [float(h) for h in v])
 
     def suite_params(self) -> dict:
         suite = self.doc.get("metrics", {}).get("suite", {})
         return {
-            "n_scenes": int(suite.get("scenes", 100)),
-            "gap_range": tuple(suite.get("gap_range", (10.0, 40.0))),
-            "speed_range": tuple(suite.get("speed_range", (5.0, 12.0))),
+            "n_scenes": _value(suite, "metrics.suite", "scenes", 100, int),
+            "gap_range": _value(suite, "metrics.suite", "gap_range", (10.0, 40.0), _floats(2)),
+            "speed_range": _value(suite, "metrics.suite", "speed_range", (5.0, 12.0), _floats(2)),
             "seed": self.sim_config.seed,
             "horizon_s": self.sim_config.horizon_steps * self.sim_config.dt,
         }

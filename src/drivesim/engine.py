@@ -1,9 +1,10 @@
 """Markov forward simulator.
 
-Each step advances every agent from the frozen previous state only, so
-per-agent evaluations are order-free and can run on any number of worker
-threads without changing the result. Randomness comes from counter-based
-streams keyed by (seed, agent id, step index).
+Each step advances every agent, the ego included, by its own policy from
+the frozen previous state only, so per-agent evaluations are order-free
+and can run on any number of worker threads without changing the
+result. Randomness comes from counter-based streams keyed by (seed, agent
+id, step index); the ego's policy gets none.
 """
 from __future__ import annotations
 
@@ -64,59 +65,6 @@ def agent_step_rng(seed: int, agent_id: str, step_index: int) -> np.random.Gener
 
 
 # ---------------------------------------------------------------------------
-# Ego controllers: deterministic callables (prev_state, ego) -> ego at t
-
-
-class LogReplayEgo:
-    """Drive the ego exactly along a recorded episode."""
-
-    def __init__(self, source: Episode):
-        self.source = source
-
-    def __call__(self, prev_state: SimState, ego: AgentState) -> AgentState:
-        first = self.source.states[0].step_index
-        last = self.source.states[-1].step_index
-        t = min(max(prev_state.step_index + 1, first), last)
-        recorded = self.source.state_at(t).agent(ego.id)
-        return replace(ego, pose=recorded.pose, speed=recorded.speed)
-
-
-class ConstantVelocityEgo:
-    """Hold speed and heading."""
-
-    def __init__(self, dt: float):
-        self.dt = dt
-
-    def __call__(self, prev_state: SimState, ego: AgentState) -> AgentState:
-        return advance(ego, Control(0.0, ego.speed), self.dt)
-
-
-class PolicyEgo:
-    """Drive the ego with an agent policy. The policy must be
-    deterministic (it receives no rng stream)."""
-
-    def __init__(self, policy, smap: SemanticMap, dt: float):
-        self.policy = policy
-        self.smap = smap
-        self.dt = dt
-
-    def __call__(self, prev_state: SimState, ego: AgentState) -> AgentState:
-        decision = policy_act(self.policy, ego.id, prev_state, self.smap, None)
-        return _apply_decision(ego, decision, self.dt)
-
-
-class BrakeToStopEgo:
-    """Scripted probe: decelerate straight ahead to a stop and stay put."""
-
-    def __init__(self, dt: float, decel: float = 2.5):
-        self.dt = dt
-        self.decel = decel
-
-    def __call__(self, prev_state: SimState, ego: AgentState) -> AgentState:
-        return advance(ego, Control(0.0, max(0.0, ego.speed - self.decel * self.dt)), self.dt)
-
-
-# ---------------------------------------------------------------------------
 # Stepping
 
 
@@ -138,10 +86,11 @@ def _advance_agent(
         policy = policies[agent.id]
     except KeyError:
         raise ValueError(f"no policy assigned for agent {agent.id!r}") from None
-    rng = agent_step_rng(cfg.seed, agent.id, t)
+    # The ego's policy is the planner under test: no rng stream, no noise.
+    rng = None if agent.id == prev.ego_id else agent_step_rng(cfg.seed, agent.id, t)
     decision = policy_act(policy, agent.id, prev, smap, rng)
     sigma_phi, sigma_v = cfg.control_noise
-    if decision.pose_override is None and (sigma_phi > 0 or sigma_v > 0):
+    if rng is not None and decision.pose_override is None and (sigma_phi > 0 or sigma_v > 0):
         c = decision.control
         phi = c.phi + sigma_phi * rng.standard_normal()
         v = max(0.0, c.v + sigma_v * rng.standard_normal())
@@ -152,54 +101,43 @@ def _advance_agent(
 def step(
     prev: SimState,
     policies: Mapping[str, object],
-    ego_controller: Callable[[SimState, AgentState], AgentState],
     smap: SemanticMap,
     cfg: SimConfig,
     t: int,
     pool: Optional[ThreadPoolExecutor] = None,
 ) -> SimState:
-    """One synchronous transition: every agent advances off the frozen
-    previous state; the ego advances via its controller. Agents whose
-    centers leave the region of interest around the new ego deactivate."""
-    ego_prev = prev.ego
-    new_ego = ego_controller(prev, ego_prev)
-    if new_ego.id != ego_prev.id:
-        raise ValueError("ego controller must not change the ego id")
-    if new_ego.extent != ego_prev.extent:
-        raise ValueError("ego controller must not change the ego extent")
-
-    movers = [a for a in prev.agents if a.active and a.id != prev.ego_id]
+    """One synchronous transition: the ego and every active agent advance
+    off the frozen previous state by their policies. Agents whose centers
+    leave the region of interest around the new ego deactivate."""
 
     def advance_one(agent):
         return _advance_agent(agent, policies, prev, smap, cfg, t)
 
+    # The ego runs on the calling thread: one pool task more per step costs
+    # more than the ego's policy when a scene has few agents.
+    ego = advance_one(prev.ego)
+    movers = [a for a in prev.agents if a.active and a.id != prev.ego_id]
     advanced = pool.map(advance_one, movers) if pool is not None else map(advance_one, movers)
     moved = {a.id: a for a in advanced}
+    moved[prev.ego_id] = ego
 
     agents = []
     for a in prev.agents:
-        if a.id == prev.ego_id:
-            agents.append(new_ego)
-            continue
         nxt = moved.get(a.id, a)
-        if nxt.active:
-            dx = nxt.pose.x - new_ego.pose.x
-            dy = nxt.pose.y - new_ego.pose.y
-            if math.hypot(dx, dy) > cfg.roi_radius:
+        if nxt.active and a.id != prev.ego_id:
+            if math.hypot(nxt.pose.x - ego.pose.x, nxt.pose.y - ego.pose.y) > cfg.roi_radius:
                 nxt = replace(nxt, active=False)
         agents.append(nxt)
     return SimState(step_index=t, agents=tuple(agents), ego_id=prev.ego_id)
 
 
-def ego_collides(state: SimState) -> bool:
-    """Whether the ego rectangle overlaps any active agent rectangle."""
-    ego = state.ego
-    ego_box = agent_obb(ego)
-    return any(
-        obb_overlap(ego_box, agent_obb(a))
-        for a in state.agents
-        if a.active and a.id != state.ego_id
-    )
+def ego_collides(state: SimState) -> Optional[AgentState]:
+    """The first active agent whose rectangle overlaps the ego's, or None."""
+    ego_box = agent_obb(state.ego)
+    for a in state.agents:
+        if a.active and a.id != state.ego_id and obb_overlap(ego_box, agent_obb(a)):
+            return a
+    return None
 
 
 def _log_agent_collisions(state: SimState) -> None:
@@ -214,22 +152,22 @@ def _log_agent_collisions(state: SimState) -> None:
 def unroll(
     s1: SimState,
     policies: Mapping[str, object],
-    ego_controller: Callable[[SimState, AgentState], AgentState],
     smap: SemanticMap,
     cfg: SimConfig,
 ) -> Episode:
     """Roll the state forward horizon_steps transitions, truncating with
-    termination "ego_collision" if the ego rectangle contacts an agent."""
+    termination "ego_collision" if the ego rectangle contacts an agent.
+    policies maps every agent id, the ego's included, to its policy."""
     states = [s1]
     termination = "completed"
     pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
     try:
         for k in range(1, cfg.horizon_steps + 1):
             t = s1.step_index + k
-            state = step(states[-1], policies, ego_controller, smap, cfg, t, pool=pool)
+            state = step(states[-1], policies, smap, cfg, t, pool=pool)
             states.append(state)
             _log_agent_collisions(state)
-            if cfg.interrupt_on_ego_collision and ego_collides(state):
+            if cfg.interrupt_on_ego_collision and ego_collides(state) is not None:
                 termination = "ego_collision"
                 break
     finally:
@@ -243,13 +181,39 @@ def assign_policies(
     default_policy,
     overrides: Optional[Mapping[str, object]] = None,
 ) -> dict[str, object]:
-    """Policy table for every non-ego agent: default plus per-id overrides."""
-    table = {a.id: default_policy for a in state.agents if a.id != state.ego_id}
+    """Policy table for every agent, the ego included: default plus
+    per-id overrides."""
+    table = {a.id: default_policy for a in state.agents}
     for agent_id, policy in (overrides or {}).items():
         if agent_id not in table:
             raise ValueError(f"policy override for unknown agent {agent_id!r}")
         table[agent_id] = policy
     return table
+
+
+def sample_initial_state(
+    mode: str,
+    smap: SemanticMap,
+    cfg: SimConfig,
+    location: Optional[Pose2] = None,
+    dataset: Optional[Sequence[Episode]] = None,
+    proc_cfg=None,
+    anchor_radius: float = math.inf,
+) -> tuple[Pose2, SimState]:
+    """The ego location (sampled in full mode, else the fixed one) and an
+    initial state around it: drawn from the dataset when one is given,
+    else synthesized on the lane graph."""
+    from . import initstate
+
+    if mode == "full":
+        location = initstate.sample_location(smap, stream_rng(cfg.seed, "location"))
+    elif location is None:
+        raise ValueError(f"{mode} mode needs a fixed ego location")
+    state_rng = stream_rng(cfg.seed, "initstate")
+    if dataset:
+        return location, initstate.sample_state_empirical(dataset, location, anchor_radius, state_rng)
+    proc_cfg = proc_cfg or initstate.ProceduralConfig()
+    return location, initstate.sample_state_procedural(smap, location, proc_cfg, state_rng)
 
 
 def run_mode(
@@ -258,7 +222,6 @@ def run_mode(
     smap: SemanticMap,
     cfg: SimConfig,
     make_policies: Callable[[SimState], Mapping[str, object]],
-    ego_factory: Callable[[SimState], Callable[[SimState, AgentState], AgentState]],
     location: Optional[Pose2] = None,
     s1: Optional[SimState] = None,
     dataset: Optional[Sequence[Episode]] = None,
@@ -273,25 +236,16 @@ def run_mode(
     scenario: unroll from a given initial state.
     behaviour: scenario, with listed agents forced onto fixed paths while
     their speed stays with the underlying policy.
+
+    make_policies builds the policy table, the ego's included.
     """
-    from . import initstate
     from .policies import PathOverridePolicy
 
     if mode not in ("full", "journey", "scenario", "behaviour"):
         raise ValueError(f"unknown mode {mode!r}")
 
     if mode in ("full", "journey"):
-        if mode == "full":
-            location = initstate.sample_location(smap, stream_rng(cfg.seed, "location"))
-        elif location is None:
-            raise ValueError("journey mode needs a fixed ego location")
-        state_rng = stream_rng(cfg.seed, "initstate")
-        if dataset:
-            s1 = initstate.sample_state_empirical(dataset, location, anchor_radius, state_rng)
-        else:
-            s1 = initstate.sample_state_procedural(
-                smap, location, proc_cfg or initstate.ProceduralConfig(), state_rng
-            )
+        _, s1 = sample_initial_state(mode, smap, cfg, location, dataset, proc_cfg, anchor_radius)
     elif s1 is None:
         raise ValueError(f"{mode} mode needs an initial state")
 
@@ -303,4 +257,4 @@ def run_mode(
             if agent_id not in policies:
                 raise ValueError(f"forced path for unknown agent {agent_id!r}")
             policies[agent_id] = PathOverridePolicy(policies[agent_id], path)
-    return unroll(s1, policies, ego_factory(s1), smap, cfg)
+    return unroll(s1, policies, smap, cfg)

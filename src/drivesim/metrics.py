@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -23,7 +23,8 @@ from .core import (
     obb_overlap,
     project_to_polyline,
 )
-from .engine import ConstantVelocityEgo, LogReplayEgo, SimConfig, stream_rng, unroll
+from .engine import SimConfig, assign_policies, ego_collides, stream_rng, unroll
+from .policies import ConstantVelocityPolicy, LogReplayPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +91,11 @@ def _pair_distances(sim: Episode, gt: Episode, horizons: Sequence[float]) -> lis
     return per_horizon
 
 
-def displacement_error(sim: Episode, gt: Episode, horizons: Sequence[float]) -> RealismReport:
-    """Mean L2 distance between simulated and ground-truth agents (ego
-    excluded) at each horizon, for one scene."""
-    per_horizon = _pair_distances(sim, gt, horizons)
-    means = tuple(float(np.mean(d)) if d else 0.0 for d in per_horizon)
-    n_agents = max((len(d) for d in per_horizon), default=0)
-    return RealismReport(tuple(horizons), means, n_agents=n_agents, n_scenes=1)
-
-
 def realism_report(
     sims: Sequence[Episode], gts: Sequence[Episode], horizons: Sequence[float]
 ) -> RealismReport:
-    """Pooled mean over scenes and agents."""
+    """Mean L2 distance between simulated and ground-truth agents (ego
+    excluded) at each horizon, pooled over scenes and agents."""
     if len(sims) != len(gts):
         raise ValueError("mismatched scene counts")
     pooled: list[list[float]] = [[] for _ in horizons]
@@ -125,17 +118,9 @@ def simulate_against_logs(
     sims = []
     for gt in gt_episodes:
         s1 = gt.states[0]
-        horizon = len(gt.states) - 1
-        run_cfg = SimConfig(
-            dt=cfg.dt,
-            horizon_steps=horizon,
-            seed=cfg.seed,
-            interrupt_on_ego_collision=False,
-            control_noise=cfg.control_noise,
-            roi_radius=cfg.roi_radius,
-            workers=cfg.workers,
-        )
-        sims.append(unroll(s1, make_policies(s1, gt), LogReplayEgo(gt), smap, run_cfg))
+        policies = {**make_policies(s1, gt), s1.ego_id: LogReplayPolicy(gt)}
+        run_cfg = replace(cfg, horizon_steps=len(gt.states) - 1, interrupt_on_ego_collision=False)
+        sims.append(unroll(s1, policies, smap, run_cfg))
     return sims
 
 
@@ -216,6 +201,11 @@ def static_lead_suite(
     """Seeded randomized scenes. Draws are rejected until the lead is
     reachable without braking (gap + margin <= speed * horizon), so a
     non-reactive follower is guaranteed to hit it."""
+    if min(gap_range) + reach_margin > max(speed_range) * horizon_s:
+        raise ValueError(
+            f"no static-lead scene is reachable: gap {min(gap_range)} + margin {reach_margin} m "
+            f"> speed {max(speed_range)} m/s * horizon {horizon_s} s"
+        )
     rng = stream_rng(seed, "static-lead-suite")
     scenes = []
     while len(scenes) < n_scenes:
@@ -242,9 +232,8 @@ def reactivity(
     make_subject = subject if not hasattr(subject, "act") else (lambda scene: subject)
     clean = 0
     for scene in suite:
-        policy = make_subject(scene)
-        policies = {a.id: policy for a in scene.agents if a.id != scene.ego_id}
-        episode = unroll(scene, policies, ConstantVelocityEgo(cfg.dt), smap, cfg)
+        policies = assign_policies(scene, make_subject(scene), {scene.ego_id: ConstantVelocityPolicy()})
+        episode = unroll(scene, policies, smap, cfg)
         if episode.termination == "completed":
             clean += 1
     return ReactivityReport(scenes_total=len(suite), scenes_without_collision=clean)
@@ -253,17 +242,10 @@ def reactivity(
 def constant_speed_log(scene: SimState, cfg: SimConfig, smap: SemanticMap) -> Episode:
     """What each agent would record if nothing reacted: everyone holds
     speed and heading. The non-reactive replay source for a scene."""
-    from .policies import ConstantVelocityPolicy
-
-    policies = {a.id: ConstantVelocityPolicy() for a in scene.agents if a.id != scene.ego_id}
-    run_cfg = SimConfig(
-        dt=cfg.dt,
-        horizon_steps=cfg.horizon_steps,
-        seed=cfg.seed,
-        interrupt_on_ego_collision=False,
-        roi_radius=cfg.roi_radius,
-    )
-    return unroll(scene, policies, ConstantVelocityEgo(cfg.dt), smap, run_cfg)
+    # Noise-free on purpose: the non-reactive reference carries no control
+    # noise. One worker as before: a thread pool per small scene only costs.
+    run_cfg = replace(cfg, interrupt_on_ego_collision=False, control_noise=(0.0, 0.0), workers=1)
+    return unroll(scene, assign_policies(scene, ConstantVelocityPolicy()), smap, run_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +370,9 @@ def _front_gap(state: SimState) -> float:
 
 def _first_ego_collision(ep: Episode) -> Optional[str]:
     for state in ep.states:
-        ego = state.ego
-        ego_box = agent_obb(ego)
-        for other in state.agents:
-            if other.id == state.ego_id or not other.active:
-                continue
-            if obb_overlap(ego_box, agent_obb(other)):
-                return classify_collision(ego, other)
+        other = ego_collides(state)
+        if other is not None:
+            return classify_collision(state.ego, other)
     return None
 
 

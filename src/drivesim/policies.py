@@ -79,6 +79,18 @@ class LogReplayPolicy:
         return PolicyDecision(Control(0.0, recorded.speed), pose_override=recorded.pose)
 
 
+@dataclass(frozen=True)
+class BrakeToStopPolicy:
+    """Scripted probe: decelerate straight ahead to a stop and stay put."""
+
+    dt: float = 0.1
+    decel: float = 2.5
+
+    def act(self, agent_id, state, smap, rng=None) -> PolicyDecision:
+        v = state.agent(agent_id).speed
+        return PolicyDecision(Control(0.0, max(0.0, v - self.decel * self.dt)))
+
+
 def pure_pursuit_rate(
     pose: Pose2, speed: float, target: Sequence[float], phi_max: float = DEFAULT_PHI_MAX
 ) -> float:

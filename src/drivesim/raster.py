@@ -41,20 +41,9 @@ class Grid:
             if not np.isin(plane, (0, 1)).all():
                 raise ValueError(f"channel {name!r} must be binary")
 
-    def pixel_centers_world(self) -> np.ndarray:
-        """World coordinates of all pixel centers, shape (H, W, 2)."""
-        cols = np.arange(self.width_px)
-        rows = np.arange(self.height_px)
-        u = (cols + 0.5 - self.width_px / 2.0) * self.resolution
-        v = (self.height_px / 2.0 - (rows + 0.5)) * self.resolution
-        uu, vv = np.meshgrid(u, v)
-        c, s = math.cos(self.center.yaw), math.sin(self.center.yaw)
-        x = self.center.x + c * uu - s * vv
-        y = self.center.y + s * uu + c * vv
-        return np.stack([x, y], axis=-1)
-
     def pixels_to_world(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """World coordinates of the given pixel centers, shape (N, 2)."""
+        """World coordinates of the given pixel centers: shape (N, 2) for
+        index vectors, (H, W, 2) for np.indices((H, W))."""
         u = (np.asarray(cols) + 0.5 - self.width_px / 2.0) * self.resolution
         v = (self.height_px / 2.0 - (np.asarray(rows) + 0.5)) * self.resolution
         c, s = math.cos(self.center.yaw), math.sin(self.center.yaw)
@@ -123,7 +112,7 @@ def render(
     shape = (size_px, size_px)
     channels = {name: np.zeros(shape, dtype=np.uint8) for name in CHANNEL_NAMES}
     grid = Grid(size_px, size_px, resolution, center, channels)
-    centers = grid.pixel_centers_world()
+    centers = grid.pixels_to_world(*np.indices(shape))
 
     for lane in smap.lanes:
         if smap.lane_red_at(lane.id, sim_time):
@@ -254,11 +243,6 @@ def extract_from_channel(grid: Grid, channel: str, min_pixels: int = 3) -> list[
             )
         )
     return out
-
-
-def extract_agents(grid: Grid, min_pixels: int = 3) -> list[ExtractedAgent]:
-    """Vectorize the agents channel."""
-    return extract_from_channel(grid, "agents", min_pixels=min_pixels)
 
 
 def write_grid_pgm(grid: Grid, prefix: str | Path) -> list[Path]:

@@ -24,10 +24,6 @@ from drivesim.core import (
     save_map,
 )
 from drivesim.engine import (
-    BrakeToStopEgo,
-    ConstantVelocityEgo,
-    LogReplayEgo,
-    PolicyEgo,
     SimConfig,
     assign_policies,
     run_mode,
@@ -45,6 +41,8 @@ from drivesim.metrics import (
     static_lead_suite,
 )
 from drivesim.policies import (
+    BrakeToStopPolicy,
+    ConstantVelocityPolicy,
     FeatureExtractor,
     LogReplayPolicy,
     MlpPolicy,
@@ -56,7 +54,7 @@ from drivesim.policies import (
     mlp_loss_and_grads,
     mlp_train,
 )
-from drivesim.raster import connected_components, extract_agents, render
+from drivesim.raster import connected_components, extract_from_channel, render
 
 from conftest import sample_obb_oracle
 from test_raster import union_find_components
@@ -94,7 +92,7 @@ def teacher_episode(smap, seed, horizon=50):
     proc = ProceduralConfig(agents_mean=6.0, min_gap=10.0, speed_range=(0.0, 10.0))
     s1 = sample_state_procedural(smap, loc, proc, stream_rng(seed, "initstate"))
     teacher = ReactiveFollowPolicy(dt=0.1)
-    return unroll(s1, assign_policies(s1, teacher), PolicyEgo(teacher, smap, 0.1), smap, cfg)
+    return unroll(s1, assign_policies(s1, teacher), smap, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +120,6 @@ def test_criterion_1_log_replay_realism(training_world, held_out_episodes):
                 smap=training_world,
                 cfg=cfg,
                 make_policies=lambda s1, log=gt: assign_policies(s1, LogReplayPolicy(log)),
-                ego_factory=lambda s1, log=gt: LogReplayEgo(log),
                 s1=gt.states[0],
             )
         )
@@ -236,16 +233,17 @@ def test_criterion_4_planner_discrepancy():
 
     cfg = SimConfig(dt=0.1, horizon_steps=50, seed=0)
     ref_cfg = SimConfig(dt=0.1, horizon_steps=50, seed=0, interrupt_on_ego_collision=False)
-    stop_at_green = lambda: BrakeToStopEgo(0.1, decel=3.5)
+    stop_at_green = BrakeToStopPolicy(dt=0.1, decel=3.5)
     references, replay_runs, reactive_runs = [], [], []
     for scene in scenes:
-        ref = unroll(scene, {"trailer": ReactiveFollowPolicy(dt=0.1)}, ConstantVelocityEgo(0.1), smap, ref_cfg)
+        ref_policies = {"ego": ConstantVelocityPolicy(), "trailer": ReactiveFollowPolicy(dt=0.1)}
+        ref = unroll(scene, ref_policies, smap, ref_cfg)
         references.append(ref)
         replay_runs.append(
-            unroll(scene, {"trailer": LogReplayPolicy(ref)}, stop_at_green(), smap, cfg)
+            unroll(scene, {"ego": stop_at_green, "trailer": LogReplayPolicy(ref)}, smap, cfg)
         )
         reactive_runs.append(
-            unroll(scene, {"trailer": ReactiveFollowPolicy(dt=0.1)}, stop_at_green(), smap, cfg)
+            unroll(scene, {"ego": stop_at_green, "trailer": ReactiveFollowPolicy(dt=0.1)}, smap, cfg)
         )
     under_replay = planner_eval(replay_runs, references)
     under_reactive = planner_eval(reactive_runs, references)
@@ -300,7 +298,7 @@ def test_criterion_5_raster_round_trip(straight_world):
         if got != union_find_components(grid.channels["agents"]):
             failures += 1
             continue
-        extracted = extract_agents(grid)
+        extracted = extract_from_channel(grid, "agents")
         if len(extracted) != len(agents):
             failures += 1
             continue

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -10,8 +11,8 @@ from drivesim.cli.logs import (
     write_episode_log,
 )
 from drivesim.core import AgentState, Episode, Pose2, SimState, save_map
-from drivesim.engine import ConstantVelocityEgo, SimConfig, assign_policies, unroll
-from drivesim.policies import ReactiveFollowPolicy
+from drivesim.engine import SimConfig, assign_policies, unroll
+from drivesim.policies import ConstantVelocityPolicy, ReactiveFollowPolicy
 
 
 def car(agent_id, x, y=0.0, yaw=0.0, speed=0.0):
@@ -25,9 +26,8 @@ def make_log(straight_map, n=30, seed=2):
         "ego",
     )
     cfg = SimConfig(dt=0.1, horizon_steps=n, seed=seed)
-    return unroll(
-        s, assign_policies(s, ReactiveFollowPolicy(dt=0.1)), ConstantVelocityEgo(0.1), straight_map, cfg
-    )
+    policies = assign_policies(s, ReactiveFollowPolicy(dt=0.1), {"ego": ConstantVelocityPolicy()})
+    return unroll(s, policies, straight_map, cfg)
 
 
 @pytest.fixture
@@ -176,6 +176,41 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg_path, "--jobs", "1", "--out", str(a)]) == 0
         assert main(["simulate", "--config", cfg_path, "--jobs", "8", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("sim", "horizon", "abc"), ("mode", "location", [50.0, 0.0]), ("sim", "noise", [0.1, 0.1, 0.1])],
+    )
+    def test_config_type_error_exit_1_names_key(self, workspace, capsys, section, key, value):
+        doc = {
+            "sim": {"dt": 0.1, "horizon": 5, "seed": 0},
+            "mode": {"name": "journey", "map": "map.json", "location": [50.0, 0.0, 0.0]},
+        }
+        doc[section][key] = value
+        cfg_path = write_config(workspace / "run.json", doc)
+        assert main(["simulate", "--config", cfg_path, "--out", str(workspace / "x.jsonl")]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("controller", ["constant", "log_replay", "reactive_follow", "brake_stop"])
+    def test_inactive_ego_exit_2(self, workspace, straight_map, capsys, controller):
+        # every ego controller is a policy, and a policy never drives an
+        # inactive agent
+        log = make_log(straight_map, n=5)
+        states = tuple(
+            SimState(
+                s.step_index,
+                tuple(dataclasses.replace(a, active=False) if a.id == "ego" else a for a in s.agents),
+                s.ego_id,
+            )
+            for s in log.states
+        )
+        write_episode_log(dataclasses.replace(log, states=states), workspace / "no_ego.jsonl")
+        doc = self.scenario_config(workspace)
+        doc["mode"]["source_log"] = "no_ego.jsonl"
+        doc["ego"]["controller"] = controller
+        cfg_path = write_config(workspace / "run.json", doc)
+        assert main(["simulate", "--config", cfg_path, "--out", str(workspace / "x.jsonl")]) == 2
+        assert "agent 'ego' is not active" in capsys.readouterr().err
 
 
 class TestTrainCommand:

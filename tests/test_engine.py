@@ -5,10 +5,6 @@ import pytest
 
 from drivesim.core import AgentState, Pose2, SimState
 from drivesim.engine import (
-    BrakeToStopEgo,
-    ConstantVelocityEgo,
-    LogReplayEgo,
-    PolicyEgo,
     SimConfig,
     agent_step_rng,
     assign_policies,
@@ -17,6 +13,7 @@ from drivesim.engine import (
     unroll,
 )
 from drivesim.policies import (
+    BrakeToStopPolicy,
     ConstantVelocityPolicy,
     LogReplayPolicy,
     ReactiveFollowPolicy,
@@ -51,7 +48,7 @@ class TestStep:
     def test_constant_velocity_translation(self, straight_map):
         s = SimState(0, (car("ego", 50, speed=0.0), car("a", 10, speed=6.0), car("b", 30, speed=3.0)), "ego")
         cfg = SimConfig(dt=0.1, seed=0)
-        out = step(s, cv_policies(s), ConstantVelocityEgo(0.1), straight_map, cfg, 1)
+        out = step(s, cv_policies(s), straight_map, cfg, 1)
         assert out.step_index == 1
         assert out.agent("a").pose.x == pytest.approx(10.6)
         assert out.agent("b").pose.x == pytest.approx(30.3)
@@ -62,8 +59,8 @@ class TestStep:
         cfg = SimConfig(dt=0.1, seed=3, control_noise=(0.05, 0.1))
         s1 = SimState(0, agents, "ego")
         s2 = SimState(0, agents[::-1], "ego")
-        o1 = step(s1, cv_policies(s1), ConstantVelocityEgo(0.1), straight_map, cfg, 1)
-        o2 = step(s2, cv_policies(s2), ConstantVelocityEgo(0.1), straight_map, cfg, 1)
+        o1 = step(s1, cv_policies(s1), straight_map, cfg, 1)
+        o2 = step(s2, cv_policies(s2), straight_map, cfg, 1)
         d1 = {a.id: a for a in o1.agents}
         d2 = {a.id: a for a in o2.agents}
         assert d1 == d2
@@ -74,7 +71,7 @@ class TestStep:
         pol = ReactiveFollowPolicy(dt=0.1)
         s = SimState(0, (car("ego", 150), car("a", 10, speed=8.0), car("b", 30, speed=2.0)), "ego")
         cfg = SimConfig(dt=0.1, seed=0)
-        out = step(s, assign_policies(s, pol), ConstantVelocityEgo(0.1), straight_map, cfg, 1)
+        out = step(s, assign_policies(s, pol, {"ego": ConstantVelocityPolicy()}), straight_map, cfg, 1)
         from drivesim.policies import policy_act
         from drivesim.kinematics import advance
 
@@ -86,32 +83,38 @@ class TestStep:
     def test_missing_policy_errors(self, straight_map):
         s = SimState(0, (car("ego", 50), car("a", 10, speed=6.0)), "ego")
         with pytest.raises(ValueError, match="no policy"):
-            step(s, {}, ConstantVelocityEgo(0.1), straight_map, SimConfig(), 1)
+            step(s, {}, straight_map, SimConfig(), 1)
 
     def test_roi_deactivation(self, straight_map):
         s = SimState(0, (car("ego", 0), car("far", 100, speed=10.0)), "ego")
         cfg = SimConfig(dt=0.1, seed=0, roi_radius=50.0)
-        out = step(s, cv_policies(s), ConstantVelocityEgo(0.1), straight_map, cfg, 1)
+        out = step(s, cv_policies(s), straight_map, cfg, 1)
         assert not out.agent("far").active
         # deactivated agents are carried unchanged afterwards
-        out2 = step(out, cv_policies(s), ConstantVelocityEgo(0.1), straight_map, cfg, 2)
+        out2 = step(out, cv_policies(s), straight_map, cfg, 2)
         assert out2.agent("far") == dataclasses.replace(out.agent("far"))
 
-    def test_ego_controller_contract_enforced(self, straight_map):
-        s = SimState(0, (car("ego", 0), car("a", 30, speed=1.0)), "ego")
-
-        def bad_ego(prev, ego):
-            return dataclasses.replace(ego, extent=(1.0, 1.0))
-
-        with pytest.raises(ValueError, match="extent"):
-            step(s, cv_policies(s), bad_ego, straight_map, SimConfig(), 1)
+    def test_ego_policy_keeps_id_and_extent(self, straight_map):
+        s = SimState(0, (car("ego", 0, speed=4.0), car("a", 30, speed=1.0)), "ego")
+        log = unroll(s, cv_policies(s), straight_map, SimConfig(horizon_steps=5))
+        ego_policies = (
+            ConstantVelocityPolicy(),
+            LogReplayPolicy(log),
+            ReactiveFollowPolicy(dt=0.1),
+            BrakeToStopPolicy(dt=0.1),
+        )
+        for ego_policy in ego_policies:
+            policies = assign_policies(s, ConstantVelocityPolicy(), {"ego": ego_policy})
+            out = step(s, policies, straight_map, SimConfig(), 1)
+            assert out.ego.id == "ego"
+            assert out.ego.extent == s.ego.extent
 
 
 class TestUnroll:
     def test_static_scene_all_states_identical(self, straight_map):
         s = SimState(0, (car("ego", 50), car("a", 10), car("b", 30)), "ego")
         cfg = SimConfig(dt=0.1, horizon_steps=20, seed=0)
-        ep = unroll(s, cv_policies(s), ConstantVelocityEgo(0.1), straight_map, cfg)
+        ep = unroll(s, cv_policies(s), straight_map, cfg)
         assert ep.termination == "completed"
         assert len(ep.states) == 21
         for state in ep.states[1:]:
@@ -124,7 +127,7 @@ class TestUnroll:
         ego = car("ego", 20.0, speed=10.0)
         s = SimState(0, (ego, lead), "ego")
         cfg = SimConfig(dt=0.1, horizon_steps=50, seed=0)
-        ep = unroll(s, cv_policies(s), ConstantVelocityEgo(0.1), straight_map, cfg)
+        ep = unroll(s, cv_policies(s), straight_map, cfg)
         assert ep.termination == "ego_collision"
         assert ep.states[-1].step_index == 20
 
@@ -135,8 +138,8 @@ class TestUnroll:
         follower = car("follower", 20.0, speed=10.0)
         s = SimState(0, (lead, follower), "lead")
         cfg = SimConfig(dt=0.1, horizon_steps=50, seed=0)
-        policies = {"follower": ReactiveFollowPolicy(dt=0.1)}
-        ep = unroll(s, policies, ConstantVelocityEgo(0.1), straight_map, cfg)
+        policies = {"lead": ConstantVelocityPolicy(), "follower": ReactiveFollowPolicy(dt=0.1)}
+        ep = unroll(s, policies, straight_map, cfg)
         assert ep.termination == "completed"
         assert len(ep.states) == 51
 
@@ -147,25 +150,25 @@ class TestUnroll:
             + tuple(car(f"a{i}", 5.0 + 12.0 * i, speed=3.0 + i) for i in range(6)),
             "ego",
         )
-        policies = assign_policies(s, ReactiveFollowPolicy(dt=0.1))
+        policies = assign_policies(s, ReactiveFollowPolicy(dt=0.1), {"ego": ConstantVelocityPolicy()})
         eps = []
         for workers in (1, 4, 8):
             cfg = SimConfig(dt=0.1, horizon_steps=30, seed=11, control_noise=(0.02, 0.1), workers=workers)
-            eps.append(unroll(s, policies, ConstantVelocityEgo(0.1), straight_map, cfg))
+            eps.append(unroll(s, policies, straight_map, cfg))
         assert eps[0] == eps[1] == eps[2]
 
     def test_identical_runs_bit_identical(self, straight_map):
         s = SimState(0, (car("ego", 60, speed=2.0), car("a", 10, speed=5.0)), "ego")
         cfg = SimConfig(dt=0.1, horizon_steps=25, seed=5, control_noise=(0.1, 0.2))
         policies = assign_policies(s, ConstantVelocityPolicy())
-        e1 = unroll(s, policies, ConstantVelocityEgo(0.1), straight_map, cfg)
-        e2 = unroll(s, policies, ConstantVelocityEgo(0.1), straight_map, cfg)
+        e1 = unroll(s, policies, straight_map, cfg)
+        e2 = unroll(s, policies, straight_map, cfg)
         assert e1 == e2
 
     def test_ids_and_extents_conserved(self, straight_map):
         s = SimState(0, (car("ego", 60, speed=2.0), car("a", 10, speed=5.0)), "ego")
         cfg = SimConfig(dt=0.1, horizon_steps=25, seed=5)
-        ep = unroll(s, cv_policies(s), ConstantVelocityEgo(0.1), straight_map, cfg)
+        ep = unroll(s, cv_policies(s), straight_map, cfg)
         for state in ep.states:
             assert {a.id for a in state.agents} == {"ego", "a"}
             for agent in state.agents:
@@ -180,14 +183,15 @@ class TestReplayClosure:
             "ego",
         )
         cfg = SimConfig(dt=0.1, horizon_steps=n, seed=2)
-        return unroll(s, assign_policies(s, ReactiveFollowPolicy(dt=0.1)), ConstantVelocityEgo(0.1), straight_map, cfg)
+        policies = assign_policies(s, ReactiveFollowPolicy(dt=0.1), {"ego": ConstantVelocityPolicy()})
+        return unroll(s, policies, straight_map, cfg)
 
     def test_full_replay_reproduces_log_exactly(self, straight_map):
         log = self.make_log(straight_map)
         s1 = log.states[0]
         policies = assign_policies(s1, LogReplayPolicy(log))
         cfg = SimConfig(dt=0.1, horizon_steps=len(log.states) - 1, seed=99)
-        replayed = unroll(s1, policies, LogReplayEgo(log), straight_map, cfg)
+        replayed = unroll(s1, policies, straight_map, cfg)
         assert replayed.states == log.states
 
     def test_replay_displacement_is_zero(self, straight_map):
@@ -195,7 +199,7 @@ class TestReplayClosure:
         s1 = log.states[0]
         policies = assign_policies(s1, LogReplayPolicy(log))
         cfg = SimConfig(dt=0.1, horizon_steps=len(log.states) - 1, seed=99)
-        replayed = unroll(s1, policies, LogReplayEgo(log), straight_map, cfg)
+        replayed = unroll(s1, policies, straight_map, cfg)
         for rs, ls in zip(replayed.states, log.states):
             for agent in rs.agents:
                 ref = ls.agent(agent.id)
@@ -211,7 +215,6 @@ class TestRunMode:
             smap=straight_map,
             cfg=cfg,
             make_policies=lambda s: assign_policies(s, LogReplayPolicy(log)),
-            ego_factory=lambda s: LogReplayEgo(log),
             s1=log.states[0],
         )
         assert ep.states == log.states
@@ -227,7 +230,6 @@ class TestRunMode:
                     smap=straight_map,
                     cfg=cfg,
                     make_policies=cv_policies,
-                    ego_factory=lambda s: ConstantVelocityEgo(0.1),
                     location=loc,
                 )
             )
@@ -242,7 +244,6 @@ class TestRunMode:
             smap=straight_map,
             cfg=cfg,
             make_policies=cv_policies,
-            ego_factory=lambda s: ConstantVelocityEgo(0.1),
         )
         ego = ep.states[0].ego
         assert 0.0 <= ego.pose.x <= 200.0
@@ -259,7 +260,6 @@ class TestRunMode:
             smap=straight_map,
             cfg=cfg,
             make_policies=cv_policies,
-            ego_factory=lambda s: ConstantVelocityEgo(0.1),
             s1=s1,
             forced_paths={"a": path},
         )
@@ -281,8 +281,7 @@ class TestRunMode:
                 smap=straight_map,
                 cfg=SimConfig(),
                 make_policies=cv_policies,
-                ego_factory=lambda s: ConstantVelocityEgo(0.1),
-                s1=s1,
+                    s1=s1,
             )
 
     def test_scenario_requires_state(self, straight_map):
@@ -292,27 +291,39 @@ class TestRunMode:
                 smap=straight_map,
                 cfg=SimConfig(),
                 make_policies=cv_policies,
-                ego_factory=lambda s: ConstantVelocityEgo(0.1),
-            )
+                )
 
 
 class TestEgoControllers:
     def test_brake_to_stop(self, straight_map):
         s = SimState(0, (car("ego", 0, speed=5.0), car("a", 100)), "ego")
         cfg = SimConfig(dt=0.1, horizon_steps=40, seed=0)
-        ep = unroll(s, cv_policies(s), BrakeToStopEgo(0.1, decel=2.5), straight_map, cfg)
+        policies = assign_policies(s, ConstantVelocityPolicy(), {"ego": BrakeToStopPolicy(dt=0.1, decel=2.5)})
+        ep = unroll(s, policies, straight_map, cfg)
         speeds = [st.ego.speed for st in ep.states]
         assert speeds[0] == 5.0
         assert speeds[-1] == 0.0
         assert all(b <= a for a, b in zip(speeds, speeds[1:]))
 
     def test_policy_ego_matches_policy(self, straight_map):
+        # the ego's policy gets no rng stream and no control noise, while
+        # the other agents do
         pol = ReactiveFollowPolicy(dt=0.1)
-        s = SimState(0, (car("ego", 10, speed=3.0), car("a", 60, speed=0.0)), "ego")
-        controller = PolicyEgo(pol, straight_map, 0.1)
-        out = controller(s, s.ego)
+        s = SimState(0, (car("ego", 10, speed=3.0), car("a", 60, speed=5.0)), "ego")
+        cfg = SimConfig(dt=0.1, seed=3, control_noise=(0.05, 0.5))
+        out = step(s, assign_policies(s, pol), straight_map, cfg, 1)
         from drivesim.kinematics import advance
         from drivesim.policies import policy_act
 
         expected = advance(s.ego, policy_act(pol, "ego", s, straight_map, None).control, 0.1)
-        assert out == expected
+        assert out.ego == expected
+        noiseless = advance(s.agent("a"), policy_act(pol, "a", s, straight_map, None).control, 0.1)
+        assert out.agent("a") != noiseless
+
+    def test_inactive_ego_is_rejected(self, straight_map):
+        ego = dataclasses.replace(car("ego", 10, speed=3.0), active=False)
+        s = SimState(0, (ego, car("a", 60, speed=5.0)), "ego")
+        for ego_policy in (ConstantVelocityPolicy(), BrakeToStopPolicy(dt=0.1)):
+            policies = assign_policies(s, ConstantVelocityPolicy(), {"ego": ego_policy})
+            with pytest.raises(ValueError, match="'ego' is not active"):
+                step(s, policies, straight_map, SimConfig(), 1)

@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 
 from drivesim.core import AgentState, Episode, Pose2, SimState
-from drivesim.engine import (
-    BrakeToStopEgo,
-    ConstantVelocityEgo,
-    SimConfig,
-    assign_policies,
-    unroll,
-)
+from drivesim.engine import SimConfig, assign_policies, unroll
 from drivesim.metrics import (
     PlannerReport,
     RealismReport,
     classify_collision,
     constant_speed_log,
-    displacement_error,
     make_static_lead_scene,
     planner_eval,
     reactivity,
@@ -25,7 +18,12 @@ from drivesim.metrics import (
     static_lead_suite,
     write_report,
 )
-from drivesim.policies import ConstantVelocityPolicy, LogReplayPolicy, ReactiveFollowPolicy
+from drivesim.policies import (
+    BrakeToStopPolicy,
+    ConstantVelocityPolicy,
+    LogReplayPolicy,
+    ReactiveFollowPolicy,
+)
 
 
 def car(agent_id, x, y=0.0, yaw=0.0, speed=0.0, extent=(4.5, 2.0)):
@@ -45,7 +43,7 @@ def make_episode(offsets, dt=0.1, speed=5.0):
 class TestDisplacementError:
     def test_identical_episodes_zero(self):
         gt = make_episode([0.5 * t for t in range(51)])
-        report = displacement_error(gt, gt, [0.5, 1, 2, 3, 4, 5])
+        report = realism_report([gt], [gt], [0.5, 1, 2, 3, 4, 5])
         assert report.mean_l2 == (0.0,) * 6
         assert report.n_scenes == 1
 
@@ -58,19 +56,19 @@ class TestDisplacementError:
             states=(gt.states[0],) + sim.states[1:],
             termination=sim.termination,
         )
-        report = displacement_error(sim, gt, [0.5, 1, 2, 3, 4, 5])
+        report = realism_report([sim], [gt], [0.5, 1, 2, 3, 4, 5])
         assert report.mean_l2 == pytest.approx((1.0,) * 6)
 
     def test_mismatched_start_errors(self):
         gt = make_episode([0.0] * 11)
         sim = make_episode([5.0] * 11)
         with pytest.raises(ValueError, match="initial state"):
-            displacement_error(sim, gt, [0.5])
+            realism_report([sim], [gt], [0.5])
 
     def test_horizon_beyond_length_errors(self):
         gt = make_episode([0.0] * 11)
         with pytest.raises(ValueError, match="exceeds"):
-            displacement_error(gt, gt, [5.0])
+            realism_report([gt], [gt], [5.0])
 
     def test_translation_invariance(self):
         gt = make_episode([0.5 * t for t in range(21)])
@@ -94,8 +92,8 @@ class TestDisplacementError:
                 states.append(SimState(s.step_index, agents, s.ego_id))
             return Episode(dt=ep.dt, map_id=ep.map_id, states=tuple(states))
 
-        r1 = displacement_error(sim, gt, [1.0, 2.0])
-        r2 = displacement_error(shift(sim, 40.0, -7.0), shift(gt, 40.0, -7.0), [1.0, 2.0])
+        r1 = realism_report([sim], [gt], [1.0, 2.0])
+        r2 = realism_report([shift(sim, 40.0, -7.0)], [shift(gt, 40.0, -7.0)], [1.0, 2.0])
         assert r1.mean_l2 == pytest.approx(r2.mean_l2)
 
     def test_pooled_report(self):
@@ -137,6 +135,11 @@ class TestStaticLeadScene:
             assert 10.0 <= gap <= 40.0
             assert 5.0 <= follower.speed <= 12.0
             assert gap + 2.0 <= follower.speed * 5.0
+
+    def test_suite_rejects_unreachable_ranges(self, straight_map):
+        # 100 m + 2 m margin can never be covered at 2 m/s in 5 s
+        with pytest.raises(ValueError, match="reachable"):
+            static_lead_suite(straight_map, gap_range=(100.0, 200.0), speed_range=(1.0, 2.0), horizon_s=5.0)
 
 
 class TestReactivity:
@@ -234,7 +237,7 @@ class TestPlannerEval:
         s = SimState(0, (car("ego", 10.0, speed=speed), car("t", 50.0, speed=0.0)), "ego")
         cfg = SimConfig(dt=0.1, horizon_steps=n, seed=0, interrupt_on_ego_collision=False)
         policies = assign_policies(s, ConstantVelocityPolicy())
-        return unroll(s, policies, ConstantVelocityEgo(0.1), straight_map, cfg)
+        return unroll(s, policies, straight_map, cfg)
 
     def test_exact_replay_no_events(self, straight_map):
         ref = self.replay_reference(straight_map, speed=3.0)
@@ -245,8 +248,8 @@ class TestPlannerEval:
         # reference drives at 8 m/s with clear road; evaluated ego stays put
         ref_state = SimState(0, (car("ego", 10.0, speed=8.0),), "ego")
         cfg = SimConfig(dt=0.1, horizon_steps=50, seed=0)
-        ref = unroll(ref_state, {}, ConstantVelocityEgo(0.1), straight_map, cfg)
-        stopped = unroll(ref_state, {}, BrakeToStopEgo(0.1, decel=50.0), straight_map, cfg)
+        ref = unroll(ref_state, {"ego": ConstantVelocityPolicy()}, straight_map, cfg)
+        stopped = unroll(ref_state, {"ego": BrakeToStopPolicy(dt=0.1, decel=50.0)}, straight_map, cfg)
         report = planner_eval([stopped], [ref])
         assert report.passiveness == 1
         assert report.displacement_errors == 1  # 40 m short of the reference
@@ -255,10 +258,10 @@ class TestPlannerEval:
         # same stopped ego, but a car sits 6 m ahead: road is not clear
         ref_state = SimState(0, (car("ego", 10.0, speed=8.0), car("b", 20.5, speed=0.0)), "ego")
         cfg = SimConfig(dt=0.1, horizon_steps=50, seed=0, interrupt_on_ego_collision=False)
-        policies = {"b": ConstantVelocityPolicy()}
-        ref = unroll(ref_state, policies, ConstantVelocityEgo(0.1), straight_map, cfg)
+        policies = {"ego": ConstantVelocityPolicy(), "b": ConstantVelocityPolicy()}
+        ref = unroll(ref_state, policies, straight_map, cfg)
         stopped_state = SimState(0, (car("ego", 10.0, speed=0.0), car("b", 20.5, speed=0.0)), "ego")
-        stopped = unroll(stopped_state, policies, ConstantVelocityEgo(0.1), straight_map, cfg)
+        stopped = unroll(stopped_state, policies, straight_map, cfg)
         report = planner_eval([stopped], [ref])
         assert report.passiveness == 0
 
@@ -283,10 +286,10 @@ class TestPlannerEval:
         # trailing car plows into a stopped ego
         s = SimState(0, (car("ego", 30.0, speed=0.0), car("chaser", 10.0, speed=10.0)), "ego")
         cfg = SimConfig(dt=0.1, horizon_steps=50, seed=0)
-        policies = {"chaser": ConstantVelocityPolicy()}
-        sim = unroll(s, policies, ConstantVelocityEgo(0.1), straight_map, cfg)
+        policies = assign_policies(s, ConstantVelocityPolicy())
+        sim = unroll(s, policies, straight_map, cfg)
         assert sim.termination == "ego_collision"
-        ref = unroll(s, {"chaser": ConstantVelocityPolicy()}, ConstantVelocityEgo(0.1), straight_map,
+        ref = unroll(s, policies, straight_map,
                      SimConfig(dt=0.1, horizon_steps=50, seed=0, interrupt_on_ego_collision=False))
         report = planner_eval([sim], [ref])
         assert report.rear_collisions == 1
@@ -303,8 +306,7 @@ class TestPlannerEval:
         cfg = SimConfig(dt=0.1, horizon_steps=50, seed=0)
         stopped = unroll(
             stopped_state,
-            {"t": ConstantVelocityPolicy()},
-            BrakeToStopEgo(0.1, decel=50.0),
+            {"t": ConstantVelocityPolicy(), "ego": BrakeToStopPolicy(dt=0.1, decel=50.0)},
             straight_map,
             cfg,
         )
@@ -317,7 +319,8 @@ class TestRealismProtocol:
     def test_simulate_against_logs_pairs(self, straight_map):
         s = SimState(0, (car("ego", 60, speed=4.0), car("a", 10, speed=5.0)), "ego")
         cfg = SimConfig(dt=0.1, horizon_steps=20, seed=2)
-        gt = unroll(s, assign_policies(s, ReactiveFollowPolicy(dt=0.1)), ConstantVelocityEgo(0.1), straight_map, cfg)
+        policies = assign_policies(s, ReactiveFollowPolicy(dt=0.1), {"ego": ConstantVelocityPolicy()})
+        gt = unroll(s, policies, straight_map, cfg)
         sims = simulate_against_logs(
             [gt],
             lambda s1, log: assign_policies(s1, LogReplayPolicy(log)),

@@ -313,7 +313,7 @@ class TestMlpTraining:
     def test_beats_all_zero_model_on_teacher_data(self, straight_map):
         # teacher-generated driving data: the trained model must fit better
         # than the all-zero baseline (phi=0, v=v_max/2)
-        from drivesim.engine import ConstantVelocityEgo, SimConfig, assign_policies, unroll
+        from drivesim.engine import SimConfig, assign_policies, unroll
         from drivesim.policies import controls_to_targets, init_mlp
 
         episodes = []
@@ -324,9 +324,8 @@ class TestMlpTraining:
                 car("b", 40.0, speed=2.0),
             )
             cfg = SimConfig(dt=0.1, horizon_steps=30, seed=seed, interrupt_on_ego_collision=False)
-            episodes.append(
-                unroll(s, assign_policies(s, ReactiveFollowPolicy(dt=0.1)), ConstantVelocityEgo(0.1), straight_map, cfg)
-            )
+            policies = assign_policies(s, ReactiveFollowPolicy(dt=0.1), {"ego": ConstantVelocityPolicy()})
+            episodes.append(unroll(s, policies, straight_map, cfg))
         data = build_bc_dataset(episodes, straight_map)
         assert data
         model = mlp_train(data, TrainConfig(lr=1e-3, batch=64, epochs=30, seed=3))

@@ -6,7 +6,7 @@ import pytest
 from drivesim.core import AgentState, Pose2, SemanticMap, SimState, normalize_angle
 from drivesim.raster import (
     connected_components,
-    extract_agents,
+    extract_from_channel,
     min_area_rect,
     render,
     write_grid_pgm,
@@ -165,14 +165,14 @@ class TestMinAreaRect:
 class TestExtractAgents:
     def test_empty(self, straight_map):
         grid = render(simple_state([]), straight_map, center=Pose2(0, 0, 0))
-        assert extract_agents(grid) == []
+        assert extract_from_channel(grid, "agents") == []
 
     def test_single_block_recovers_rectangle(self, straight_map):
         agent = AgentState(id="car", pose=Pose2(0, 0, 0), extent=(4.0, 2.0), speed=0)
         ego = AgentState(id="ego", pose=Pose2(-12, 0, 0), extent=(4, 2), speed=0)
         state = SimState(step_index=0, agents=(ego, agent), ego_id="ego")
         grid = render(state, straight_map, center=Pose2(0, 0, 0), resolution=0.5, size_px=64)
-        [ex] = extract_agents(grid)
+        [ex] = extract_from_channel(grid, "agents")
         assert ex.pixel_count == 32
         assert math.hypot(ex.centroid[0], ex.centroid[1]) <= 0.5  # within 1 px * res
         assert 2 * ex.bbox.half_extents[0] == pytest.approx(4.0, abs=0.5)
@@ -186,7 +186,7 @@ class TestExtractAgents:
         ego = AgentState(id="ego", pose=Pose2(-12, 0, 0), extent=(4, 2), speed=0)
         state = SimState(step_index=0, agents=(ego, agent), ego_id="ego")
         grid = render(state, straight_map, center=Pose2(0, 0, 0), resolution=0.125, size_px=96)
-        [ex] = extract_agents(grid)
+        [ex] = extract_from_channel(grid, "agents")
         yaw_err = abs(normalize_angle(ex.bbox.yaw - yaw))
         assert min(yaw_err, abs(yaw_err - math.pi)) < math.radians(5)
         area = 4 * ex.bbox.half_extents[0] * ex.bbox.half_extents[1]
@@ -209,7 +209,7 @@ class TestExtractAgents:
                 )
             state = SimState(step_index=0, agents=(ego, *agents), ego_id="ego")
             grid = render(state, straight_map, center=Pose2(0, 0, 0), resolution=0.5, size_px=96)
-            extracted = extract_agents(grid)
+            extracted = extract_from_channel(grid, "agents")
             assert len(extracted) == len(agents)
             got = sorted((e.centroid for e in extracted), key=lambda p: p[0])
             want = sorted((a.center for a in agents), key=lambda p: p[0])
