@@ -75,3 +75,50 @@ def sample_obb_oracle(a, b, grid_n=100):
         )
 
     return any_inside(points_of(a, grid_n), b) or any_inside(points_of(b, grid_n), a)
+
+
+def reference_project_to_polyline(pts, point):
+    """The scalar projection loop the batched `project_to_polyline`
+    replaced, kept as its bit-level oracle: (distance, lateral, arclength).
+    Within a polyline the first segment with the smallest squared distance
+    wins."""
+    pts = np.asarray(pts, dtype=float)
+    p = np.asarray(point, dtype=float)
+    seg = np.diff(pts, axis=0)
+    seglen2 = np.einsum("ij,ij->i", seg, seg)
+    rel = p - pts[:-1]
+    t = np.clip(np.einsum("ij,ij->i", rel, seg) / seglen2, 0.0, 1.0)
+    proj = pts[:-1] + t[:, None] * seg
+    d2 = np.einsum("ij,ij->i", p - proj, p - proj)
+    i = int(np.argmin(d2))
+    seglen = np.sqrt(seglen2)
+    arclength = float(np.concatenate(([0.0], np.cumsum(seglen)))[i] + t[i] * seglen[i])
+    off = p - proj[i]
+    cross = seg[i, 0] * off[1] - seg[i, 1] * off[0]
+    dist = float(math.sqrt(d2[i]))
+    lateral = math.copysign(dist, cross) if dist > 0 else 0.0
+    return dist, lateral, arclength
+
+
+def reference_segment_d2(pts, point):
+    """Squared distance from a point to each segment of a polyline, as the
+    reference projection computes it."""
+    pts = np.asarray(pts, dtype=float)
+    p = np.asarray(point, dtype=float)
+    seg = np.diff(pts, axis=0)
+    t = np.clip(np.einsum("ij,ij->i", p - pts[:-1], seg) / np.einsum("ij,ij->i", seg, seg), 0.0, 1.0)
+    proj = pts[:-1] + t[:, None] * seg
+    return np.einsum("ij,ij->i", p - proj, p - proj)
+
+
+def reference_nearest_lane(smap, point):
+    """The per-lane loop the batched `nearest_lane` replaced: the smallest
+    distance (the square root of each lane's smallest squared distance)
+    wins, then the lowest lane id."""
+    best = None
+    for lane in smap.lanes:
+        dist, lateral, arc = reference_project_to_polyline(lane.centerline, point)
+        key = (dist, lane.id)
+        if best is None or key < best[0]:
+            best = (key, lane.id, arc, lateral)
+    return best[1], best[2], best[3]
