@@ -87,7 +87,7 @@ def _setup(args) -> RunSetup:
 
 def cmd_simulate(args) -> int:
     setup = _setup(args)
-    n_episodes = setup.mode_value("episodes", 1, int)
+    n_episodes = setup.episode_count()
     out = Path(args.out)
     episodes = []
     for k in range(n_episodes):

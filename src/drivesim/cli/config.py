@@ -119,6 +119,21 @@ def _floats(n: int):
     return convert
 
 
+def _sigmas(value) -> tuple:
+    """Two noise standard deviations, each >= 0."""
+    out = _floats(2)(value)
+    if min(out) < 0:
+        raise ValueError("noise sigmas must be >= 0")
+    return out
+
+
+def _count(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError("expected a count >= 1")
+    return n
+
+
 class RunSetup:
     """Everything a command needs, resolved from a config document.
 
@@ -134,7 +149,7 @@ class RunSetup:
             horizon_steps=_value(sim, "sim", "horizon", 50, int),
             seed=seed_override if seed_override is not None else _value(sim, "sim", "seed", 0, int),
             interrupt_on_ego_collision=bool(sim.get("interrupt_on_collision", True)),
-            control_noise=_value(sim, "sim", "noise", (0.0, 0.0), _floats(2)),
+            control_noise=_value(sim, "sim", "noise", (0.0, 0.0), _sigmas),
             roi_radius=_value(sim, "sim", "roi_radius", 200.0),
             workers=max(1, int(jobs)),
         )
@@ -142,6 +157,7 @@ class RunSetup:
         self.mode_name = self.mode.get("name", "scenario")
         self._map: Optional[SemanticMap] = None
         self._source: Optional[Episode] = None
+        self._dataset: Optional[list[Episode]] = None
 
     def mode_value(self, key: str, default, convert=float):
         return _value(self.mode, "mode", key, default, convert)
@@ -183,11 +199,17 @@ class RunSetup:
         return Pose2(*self.mode_value("location", None, _floats(3)))
 
     def dataset(self) -> Optional[list[Episode]]:
+        """The episodes under mode.dataset_dir, read on first use."""
         if "dataset_dir" not in self.mode:
             return None
-        from .logs import read_episode_dir
+        if self._dataset is None:
+            from .logs import read_episode_dir
 
-        return read_episode_dir(self._resolve(self.mode["dataset_dir"]))
+            self._dataset = read_episode_dir(self._resolve(self.mode["dataset_dir"]))
+        return self._dataset
+
+    def episode_count(self) -> int:
+        return self.mode_value("episodes", 1, _count)
 
     def procedural_config(self) -> ProceduralConfig:
         proc = self.mode.get("procedural", {})

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,13 +49,6 @@ class Pose2:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
-
-    @property
-    def xy(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-    def distance_to(self, other: "Pose2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True)
@@ -170,10 +163,6 @@ class Episode:
             raise ValueError(f"step {step_index} outside episode range")
         return self.states[k]
 
-    def duration(self) -> float:
-        """Simulated time covered by the episode, in seconds."""
-        return (len(self.states) - 1) * self.dt
-
 
 # ---------------------------------------------------------------------------
 # Oriented bounding boxes
@@ -280,13 +269,21 @@ class Lane:
             raise ValueError(f"lane {self.id}: degenerate zero-length segment")
         object.__setattr__(self, "centerline", pts)
         object.__setattr__(self, "successors", tuple(self.successors))
-        object.__setattr__(self, "_seg", seg)
-        object.__setattr__(self, "_seglen", seglen)
-        object.__setattr__(self, "_cumlen", np.concatenate(([0.0], np.cumsum(seglen))))
+        # Python floats: lane_pose_at reads one entry at a time
+        object.__setattr__(self, "_seg", seg.tolist())
+        object.__setattr__(self, "_seglen", seglen.tolist())
+        object.__setattr__(self, "_cumlen", np.concatenate(([0.0], np.cumsum(seglen))).tolist())
 
     @property
     def length(self) -> float:
-        return float(self._cumlen[-1])
+        return self._cumlen[-1]
+
+    @cached_property
+    def segments(self) -> "PolylineSegments":
+        """The centerline's segment arrays as `project_to_polyline` uses
+        them. Its lengths come from sqrt(einsum), which differs in the last
+        bit from the np.hypot lengths above in some segments."""
+        return polyline_segments(self.centerline)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,6 +350,10 @@ class SemanticMap:
         return {l.id: l for l in self.lanes}
 
     @cached_property
+    def _lanes_in_id_order(self) -> tuple[Lane, ...]:
+        return tuple(sorted(self.lanes, key=lambda l: l.id))
+
+    @cached_property
     def _light_by_id(self) -> dict[str, TrafficLight]:
         return {l.id: l for l in self.lights}
 
@@ -368,54 +369,90 @@ class SemanticMap:
             return False
         return self._light_by_id[lane.light_id].color_at(t) == "red"
 
-    def total_lane_length(self) -> float:
-        return float(sum(l.length for l in self.lanes))
-
 
 # ---------------------------------------------------------------------------
 # Map queries
 
 
-def project_to_polyline(pts: np.ndarray, point: Sequence[float]) -> tuple[float, float, float]:
-    """Project a point onto a polyline.
+class PolylineSegments(NamedTuple):
+    """A polyline's segments as columns: start point (x0, y0), vector
+    (dx, dy), squared length, length, and the arclength at each vertex."""
 
-    Returns (distance, signed_lateral, arclength). Lateral is positive to
-    the left of the local tangent direction. Ties across segments resolve
-    to the smallest arclength.
-    """
+    x0: np.ndarray
+    y0: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    seglen2: np.ndarray
+    seglen: np.ndarray
+    cumlen: np.ndarray
+
+
+def polyline_segments(pts: np.ndarray) -> PolylineSegments:
     pts = np.asarray(pts, dtype=float)
-    p = np.asarray(point, dtype=float)
     seg = np.diff(pts, axis=0)
     seglen2 = np.einsum("ij,ij->i", seg, seg)
-    rel = p - pts[:-1]
-    t = np.clip(np.einsum("ij,ij->i", rel, seg) / seglen2, 0.0, 1.0)
-    proj = pts[:-1] + t[:, None] * seg
-    d2 = np.einsum("ij,ij->i", p - proj, p - proj)
-    i = int(np.argmin(d2))
     seglen = np.sqrt(seglen2)
-    arclength = float(np.concatenate(([0.0], np.cumsum(seglen)))[i] + t[i] * seglen[i])
-    off = p - proj[i]
-    cross = seg[i, 0] * off[1] - seg[i, 1] * off[0]
-    dist = float(math.sqrt(d2[i]))
-    lateral = math.copysign(dist, cross) if dist > 0 else 0.0
+    start = np.ascontiguousarray(pts[:-1].T)
+    seg_t = np.ascontiguousarray(seg.T)
+    cumlen = np.concatenate(([0.0], np.cumsum(seglen)))
+    return PolylineSegments(start[0], start[1], seg_t[0], seg_t[1], seglen2, seglen, cumlen)
+
+
+def project_to_polyline(path, point):
+    """Project one point, or an (N, 2) array of points, onto a polyline.
+
+    path is an (M, 2) point array or its PolylineSegments. Returns
+    (distance, signed_lateral, arclength): floats for one point, (N,)
+    arrays for many. Lateral is positive to the left of the local tangent
+    direction. Ties across segments resolve to the smallest arclength.
+    """
+    poly = path if isinstance(path, PolylineSegments) else polyline_segments(path)
+    p = np.asarray(point, dtype=float)
+    q = p.reshape(-1, 2)
+    px, py = q[:, :1], q[:, 1:]
+    # (N, segments) arrays; each 2-vector dot product is x*x' + y*y', the
+    # same two roundings as an einsum over the pair
+    t = np.clip(((px - poly.x0) * poly.dx + (py - poly.y0) * poly.dy) / poly.seglen2, 0.0, 1.0)
+    ox = px - (poly.x0 + t * poly.dx)
+    oy = py - (poly.y0 + t * poly.dy)
+    d2 = ox * ox + oy * oy
+    i = np.argmin(d2, axis=1)
+    rows = np.arange(len(i))
+    arclength = poly.cumlen[i] + t[rows, i] * poly.seglen[i]
+    cross = poly.dx[i] * oy[rows, i] - poly.dy[i] * ox[rows, i]
+    dist = np.sqrt(d2[rows, i])
+    lateral = np.where(dist > 0, np.copysign(dist, cross), 0.0)
+    if p.ndim == 1:
+        return float(dist[0]), float(lateral[0]), float(arclength[0])
     return dist, lateral, arclength
 
 
-def nearest_lane(smap: SemanticMap, point: Sequence[float]) -> tuple[str, float, float]:
+def nearest_lane(smap: SemanticMap, point):
     """The lane whose centerline is laterally closest to a point.
 
-    Returns (lane_id, arclength, signed_lateral_offset); ties break to the
-    lowest lane id.
+    Returns (lane_id, arclength, signed_lateral_offset) for one point, or
+    for an (N, 2) array of points a list of lane ids and two (N,) arrays.
+    Within a lane the smallest squared distance wins; across lanes the
+    smallest distance, then the lowest lane id.
     """
     if not smap.lanes:
         raise ValueError("no lanes")
-    best = None
-    for lane in smap.lanes:
-        dist, lateral, arc = project_to_polyline(lane.centerline, point)
-        key = (dist, lane.id)
-        if best is None or key < best[0]:
-            best = (key, lane.id, arc, lateral)
-    return best[1], best[2], best[3]
+    p = np.asarray(point, dtype=float)
+    q = p.reshape(-1, 2)
+    lanes = smap._lanes_in_id_order
+    dist, lateral, arclength = project_to_polyline(lanes[0].segments, q)
+    k = np.zeros(len(q), dtype=np.intp)
+    for j in range(1, len(lanes)):
+        d, lat, arc = project_to_polyline(lanes[j].segments, q)
+        nearer = d < dist  # strict: equal distances keep the lower id
+        dist = np.where(nearer, d, dist)
+        lateral = np.where(nearer, lat, lateral)
+        arclength = np.where(nearer, arc, arclength)
+        k[nearer] = j
+    ids = [lanes[j].id for j in k.tolist()]
+    if p.ndim == 1:
+        return ids[0], float(arclength[0]), float(lateral[0])
+    return ids, arclength, lateral
 
 
 def lane_pose_at(smap: SemanticMap, lane_id: str, arclength: float) -> Pose2:
@@ -430,9 +467,9 @@ def lane_pose_at(smap: SemanticMap, lane_id: str, arclength: float) -> Pose2:
     cum = lane._cumlen
     i = min(bisect_right(cum, s) - 1, len(lane._seglen) - 1)
     t = (s - cum[i]) / lane._seglen[i]
-    x, y = lane.centerline[i] + t * lane._seg[i]
-    yaw = math.atan2(lane._seg[i, 1], lane._seg[i, 0])
-    return Pose2(float(x), float(y), yaw)
+    x0, y0 = lane.centerline[i].tolist()
+    dx, dy = lane._seg[i]
+    return Pose2(x0 + t * dx, y0 + t * dy, math.atan2(dy, dx))
 
 
 def lane_chain(smap: SemanticMap, lane_id: str, max_length: float) -> list[tuple[str, float]]:

@@ -422,14 +422,12 @@ def planner_eval(
         keep = np.ones(len(ref_pos), dtype=bool)
         keep[1:] = np.hypot(*(np.diff(ref_pos, axis=0).T)) > 1e-9
         path = ref_pos[keep]
-        for p in sim_pos:
-            if len(path) < 2:
-                lateral = float(np.hypot(*(p - path[0])))
-            else:
-                lateral = project_to_polyline(path, p)[0]
-            if lateral > thresholds.l_thresh:
-                counts["distance_to_reference"] += 1
-                break
+        if len(path) < 2:
+            lateral = [float(np.hypot(*(p - path[0]))) for p in sim_pos]
+        else:
+            lateral = project_to_polyline(path, sim_pos)[0]
+        if any(d > thresholds.l_thresh for d in lateral):
+            counts["distance_to_reference"] += 1
     return PlannerReport(**counts)
 
 

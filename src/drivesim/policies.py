@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -26,6 +26,7 @@ from .core import (
     lane_pose_at,
     nearest_lane,
     normalize_angle,
+    polyline_segments,
     project_to_polyline,
 )
 from .kinematics import DEFAULT_PHI_MAX, Control, fit_controls
@@ -107,19 +108,45 @@ def pure_pursuit_rate(
     return min(max(speed * curvature, -phi_max), phi_max)
 
 
-# Projections are pure functions of (state, map); states are immutable, so
-# one computation per state serves every policy/feature call that step.
-_projection_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+class LaneContext:
+    """The lane view of one state: the nearest-lane projection of every
+    active agent, and for each lane the agents within half its width of
+    the centerline, sorted by (arclength, state order)."""
+
+    def __init__(self, state: SimState, smap: SemanticMap):
+        active = [(k, a) for k, a in enumerate(state.agents) if a.active]
+        lane_ids, arcs, laterals = nearest_lane(smap, np.array([a.center for _, a in active]).reshape(-1, 2))
+        rows = list(zip(active, lane_ids, arcs.tolist(), laterals.tolist()))
+        self.projections: dict[str, tuple[str, float, float]] = {
+            a.id: (lane_id, s, lateral) for (_, a), lane_id, s, lateral in rows
+        }
+        by_lane: dict[str, list[tuple[float, int, AgentState]]] = {}
+        for (k, a), lane_id, s, lateral in rows:
+            if abs(lateral) <= smap.lane(lane_id).width / 2.0:
+                by_lane.setdefault(lane_id, []).append((s, k, a))
+        # lane id -> (entries sorted by arclength then state order, longest agent)
+        self.lanes: dict[str, tuple[list[tuple[float, int, AgentState]], float]] = {
+            lane_id: (sorted(entries, key=lambda e: e[:2]), max(e[2].length for e in entries))
+            for lane_id, entries in by_lane.items()
+        }
 
 
-def agent_lane_projections(state: SimState, smap: SemanticMap) -> dict[str, tuple[str, float, float]]:
-    """nearest_lane for every active agent, memoized on the state object."""
-    entry = _projection_cache.get(state)
-    if entry is not None and entry[0] is smap:
-        return entry[1]
-    proj = {a.id: nearest_lane(smap, a.center) for a in state.agents if a.active}
-    _projection_cache[state] = (smap, proj)
-    return proj
+# One entry, matched by identity: every policy and feature call of a step
+# reads the same frozen state, so the last context serves them all, and
+# nothing outlives the next state. Two threads that miss on one state each
+# build an equal context; either may be kept.
+_last_context: tuple = (None, None, None)
+
+
+def agent_lane_projections(state: SimState, smap: SemanticMap) -> LaneContext:
+    """The lane context of a state, built on its first use."""
+    global _last_context
+    last_state, last_map, context = _last_context
+    if last_state is state and last_map is smap:
+        return context
+    context = LaneContext(state, smap)
+    _last_context = (state, smap, context)
+    return context
 
 
 def lead_gap(
@@ -132,27 +159,31 @@ def lead_gap(
 
     The corridor is the agent's nearest lane plus its successor chain;
     candidates count if they project into that chain within half a lane
-    width laterally. Returns (max_range, None) when the road is clear.
+    width laterally. Equal gaps go to the first agent in state order.
+    Returns (max_range, None) when the road is clear.
     """
     me = state.agent(agent_id)
-    projections = agent_lane_projections(state, smap)
-    lane_id, s_me, _ = projections[agent_id]
-    chain = dict(lane_chain(smap, lane_id, max_range + s_me))
-    best_gap, best_agent = max_range, None
-    for other in state.agents:
-        if other.id == agent_id or not other.active:
+    context = agent_lane_projections(state, smap)
+    lane_id, s_me, _ = context.projections[agent_id]
+    best_gap, best_order, best_agent = max_range, -1, None
+    for o_lane, offset in lane_chain(smap, lane_id, max_range + s_me):
+        if o_lane not in context.lanes:
             continue
-        o_lane, o_s, o_lat = projections[other.id]
-        if o_lane not in chain:
-            continue
-        if abs(o_lat) > smap.lane(o_lane).width / 2.0:
-            continue
-        delta = (chain[o_lane] + o_s) - s_me
-        if delta <= 0:
-            continue
-        gap = delta - (me.length + other.length) / 2.0
-        if gap < best_gap:
-            best_gap, best_agent = gap, other
+        entries, longest = context.lanes[o_lane]
+        reach = (me.length + longest) / 2.0
+        # delta grows with arclength, so the candidates ahead are a suffix,
+        # and once even the longest agent cannot beat the best gap no later
+        # one on this lane can
+        first = bisect_right(entries, 0.0, key=lambda e: (offset + e[0]) - s_me)
+        for o_s, order, other in entries[first:]:
+            delta = (offset + o_s) - s_me
+            if delta - reach > best_gap:
+                break
+            if other.id == agent_id:
+                continue
+            gap = delta - (me.length + other.length) / 2.0
+            if gap < best_gap or (gap == best_gap and order < best_order):
+                best_gap, best_order, best_agent = gap, order, other
     return best_gap, best_agent
 
 
@@ -188,7 +219,7 @@ class ReactiveFollowPolicy:
         me = state.agent(agent_id)
         v = me.speed
         try:
-            lane_id, s_me, _ = agent_lane_projections(state, smap)[agent_id]
+            lane_id, s_me, _ = agent_lane_projections(state, smap).projections[agent_id]
         except ValueError:
             return PolicyDecision(Control(0.0, v))  # off-map: keep rolling
         gap, lead = lead_gap(state, agent_id, smap, self.gap_cap)
@@ -226,6 +257,7 @@ class PathOverridePolicy:
         self._seglen = np.hypot(seg[:, 0], seg[:, 1])
         self._cumlen = np.concatenate(([0.0], np.cumsum(self._seglen)))
         self._seg = seg
+        self._segments = polyline_segments(path)
 
     def _point_at(self, s: float) -> np.ndarray:
         s = min(max(s, 0.0), float(self._cumlen[-1]))
@@ -237,7 +269,7 @@ class PathOverridePolicy:
         inner_decision = policy_act(self.inner, agent_id, state, smap, rng)
         v = inner_decision.control.v
         me = state.agent(agent_id)
-        _, _, s = project_to_polyline(self.path, me.center)
+        _, _, s = project_to_polyline(self._segments, me.center)
         length = float(self._cumlen[-1])
         if s >= length - 1e-9:
             return PolicyDecision(Control(0.0, v))  # past the end: hold heading
@@ -284,7 +316,7 @@ class FeatureExtractor:
         f[0] = me.speed
         f[7] = 1.0
         try:
-            lane_id, s, lateral = agent_lane_projections(state, smap)[agent_id]
+            lane_id, s, lateral = agent_lane_projections(state, smap).projections[agent_id]
         except ValueError:
             f[1] = self.gap_cap
             f[6] = self.red_cap

@@ -122,3 +122,28 @@ def reference_nearest_lane(smap, point):
         if best is None or key < best[0]:
             best = (key, lane.id, arc, lateral)
     return best[1], best[2], best[3]
+
+
+def reference_lead_gap(state, agent_id, smap, max_range=100.0):
+    """The scan over every agent that the per-lane arclength index
+    replaced: the smallest gap wins, ties to the first in state order."""
+    from drivesim.core import lane_chain
+
+    me = state.agent(agent_id)
+    projections = {a.id: reference_nearest_lane(smap, a.center) for a in state.agents if a.active}
+    lane_id, s_me, _ = projections[agent_id]
+    chain = dict(lane_chain(smap, lane_id, max_range + s_me))
+    best_gap, best_agent = max_range, None
+    for other in state.agents:
+        if other.id == agent_id or not other.active:
+            continue
+        o_lane, o_s, o_lat = projections[other.id]
+        if o_lane not in chain or abs(o_lat) > smap.lane(o_lane).width / 2.0:
+            continue
+        delta = (chain[o_lane] + o_s) - s_me
+        if delta <= 0:
+            continue
+        gap = delta - (me.length + other.length) / 2.0
+        if gap < best_gap:
+            best_gap, best_agent = gap, other
+    return best_gap, best_agent

@@ -179,7 +179,15 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("sim", "horizon", "abc"), ("mode", "location", [50.0, 0.0]), ("sim", "noise", [0.1, 0.1, 0.1])],
+        [
+            ("sim", "horizon", "abc"),
+            ("mode", "location", [50.0, 0.0]),
+            ("sim", "noise", [0.1, 0.1, 0.1]),
+            ("sim", "noise", [-0.1, 0.0]),
+            ("sim", "noise", [0.0, -1e-9]),
+            ("mode", "episodes", 0),
+            ("mode", "episodes", -3),
+        ],
     )
     def test_config_type_error_exit_1_names_key(self, workspace, capsys, section, key, value):
         doc = {
@@ -188,8 +196,34 @@ class TestSimulateCommand:
         }
         doc[section][key] = value
         cfg_path = write_config(workspace / "run.json", doc)
-        assert main(["simulate", "--config", cfg_path, "--out", str(workspace / "x.jsonl")]) == 1
+        out = workspace / "x.jsonl"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_read_once_per_run(self, workspace, straight_map, monkeypatch):
+        from drivesim.cli import logs
+
+        d = workspace / "dataset"
+        d.mkdir()
+        for k in range(4):
+            write_episode_log(make_log(straight_map, n=5, seed=k), d / f"ep_{k}.jsonl")
+        calls = []
+
+        def counting_parse(text):
+            calls.append(len(text))
+            return parse_episode(text)
+
+        monkeypatch.setattr(logs, "parse_episode", counting_parse)
+        doc = {
+            "sim": {"dt": 0.1, "horizon": 5, "seed": 1},
+            "mode": {"name": "full", "map": "map.json", "episodes": 3, "dataset_dir": "dataset"},
+            "policies": {"default": "constant"},
+            "ego": {"controller": "constant"},
+        }
+        cfg_path = write_config(workspace / "run.json", doc)
+        assert main(["simulate", "--config", cfg_path, "--out", str(workspace / "episodes")]) == 0
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("controller", ["constant", "log_replay", "reactive_follow", "brake_stop"])
     def test_inactive_ego_exit_2(self, workspace, straight_map, capsys, controller):
