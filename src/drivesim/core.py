@@ -388,6 +388,7 @@ class PolylineSegments(NamedTuple):
 
 
 def polyline_segments(pts: np.ndarray) -> PolylineSegments:
+    """The segment arrays of an (M, 2) polyline, for repeated projections."""
     pts = np.asarray(pts, dtype=float)
     seg = np.diff(pts, axis=0)
     seglen2 = np.einsum("ij,ij->i", seg, seg)
