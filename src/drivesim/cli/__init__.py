@@ -35,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 def _common_flags(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
     parser.add_argument("--config", required=config_required, help="run configuration (JSON)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads per step")
+    parser.add_argument("--jobs", type=int, default=1, help="no effect: episodes run one by one in this process")
     parser.add_argument("--out", required=True, help="output file or directory")
 
 
@@ -77,12 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _setup(args) -> RunSetup:
     path = Path(args.config)
-    return RunSetup(
-        load_run_config(path),
-        base_dir=path.parent,
-        seed_override=args.seed,
-        jobs=getattr(args, "jobs", 1),
-    )
+    return RunSetup(load_run_config(path), base_dir=path.parent, seed_override=args.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -121,13 +116,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     setup = _setup(args)
+    cfg = setup.train_config()
     episodes = read_episode_dir(args.dataset)
     if not episodes:
         raise ValueError(f"no episode logs under {args.dataset}")
     dataset = build_bc_dataset(episodes, setup.smap, history_s=setup.history_s())
     if not dataset:
         raise ValueError("dataset produced no training samples (histories too short?)")
-    cfg = setup.train_config()
     model = mlp_train(dataset, cfg)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_mlp(model, args.out)

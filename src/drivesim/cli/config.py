@@ -127,8 +127,15 @@ def _sigmas(value) -> tuple:
     return out
 
 
+def _int(value) -> int:
+    """A whole number: 3 and 3.0 pass, 2.7 is an error, not 2."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected a whole number")
+    return int(value)
+
+
 def _count(value) -> int:
-    n = int(value)
+    n = _int(value)
     if n < 1:
         raise ValueError("expected a count >= 1")
     return n
@@ -140,18 +147,17 @@ class RunSetup:
     Relative paths in the config resolve against the config file's
     directory."""
 
-    def __init__(self, doc: dict, base_dir: Path, seed_override: Optional[int] = None, jobs: int = 1):
+    def __init__(self, doc: dict, base_dir: Path, seed_override: Optional[int] = None):
         self.doc = doc
         self.base_dir = base_dir
         sim = doc.get("sim", {})
         self.sim_config = SimConfig(
             dt=_value(sim, "sim", "dt", 0.1),
-            horizon_steps=_value(sim, "sim", "horizon", 50, int),
-            seed=seed_override if seed_override is not None else _value(sim, "sim", "seed", 0, int),
+            horizon_steps=_value(sim, "sim", "horizon", 50, _int),
+            seed=seed_override if seed_override is not None else _value(sim, "sim", "seed", 0, _int),
             interrupt_on_ego_collision=bool(sim.get("interrupt_on_collision", True)),
             control_noise=_value(sim, "sim", "noise", (0.0, 0.0), _sigmas),
             roi_radius=_value(sim, "sim", "roi_radius", 200.0),
-            workers=max(1, int(jobs)),
         )
         self.mode = doc.get("mode", {})
         self.mode_name = self.mode.get("name", "scenario")
@@ -189,7 +195,7 @@ class RunSetup:
         kept so log-replay policies stay aligned with the source."""
         if self.mode_name not in ("scenario", "behaviour"):
             return None
-        frame = self.mode_value("source_frame", 0, int)
+        frame = self.mode_value("source_frame", 0, _int)
         source = self.source_episode
         return source.state_at(source.states[0].step_index + frame)
 
@@ -282,10 +288,10 @@ class RunSetup:
         train = self.doc.get("policies", {}).get("train", {})
         return TrainConfig(
             lr=_value(train, "policies.train", "lr", 1e-3),
-            batch=_value(train, "policies.train", "batch", 64, int),
-            epochs=_value(train, "policies.train", "epochs", 30, int),
+            batch=_value(train, "policies.train", "batch", 64, _int),
+            epochs=_value(train, "policies.train", "epochs", 30, _int),
             seed=self.sim_config.seed,
-            hidden=_value(train, "policies.train", "hidden", (32, 32), lambda v: tuple(int(n) for n in v)),
+            hidden=_value(train, "policies.train", "hidden", (32, 32), lambda v: tuple(_int(n) for n in v)),
         )
 
     def history_s(self) -> float:
@@ -308,7 +314,7 @@ class RunSetup:
     def suite_params(self) -> dict:
         suite = self.doc.get("metrics", {}).get("suite", {})
         return {
-            "n_scenes": _value(suite, "metrics.suite", "scenes", 100, int),
+            "n_scenes": _value(suite, "metrics.suite", "scenes", 100, _int),
             "gap_range": _value(suite, "metrics.suite", "gap_range", (10.0, 40.0), _floats(2)),
             "speed_range": _value(suite, "metrics.suite", "speed_range", (5.0, 12.0), _floats(2)),
             "seed": self.sim_config.seed,

@@ -1,17 +1,17 @@
 """Markov forward simulator.
 
 Each step advances every agent, the ego included, by its own policy from
-the frozen previous state only, so per-agent evaluations are order-free
-and can run on any number of worker threads without changing the
-result. Randomness comes from counter-based streams keyed by (seed, agent
-id, step index); the ego's policy gets none.
+the frozen previous state only, so the result does not depend on the
+order in which agents are evaluated. Steps run on the calling thread.
+Policies are deterministic; the only per-step randomness is the engine's
+control noise, drawn from a counter-based stream keyed by (seed, agent
+id, step index) for each non-ego agent, and only when the noise is on.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence
@@ -28,7 +28,7 @@ from .core import (
     obb_overlap,
 )
 from .kinematics import Control, advance
-from .policies import PolicyDecision, policy_act
+from .policies import policy_act
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +44,6 @@ class SimConfig:
     interrupt_on_ego_collision: bool = True
     control_noise: tuple[float, float] = (0.0, 0.0)  # (sigma_phi, sigma_v)
     roi_radius: float = 200.0
-    workers: int = 1
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -53,25 +52,34 @@ class SimConfig:
             raise ValueError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
 
 
+def _stream_key(seed: int, tag: str, counter: int) -> np.ndarray:
+    """A Philox key: the first 16 bytes of a sha256 as two little-endian words."""
+    return np.frombuffer(hashlib.sha256(f"{seed}|{tag}|{counter}".encode("utf-8")).digest(), "<u8", 2)
+
+
 def stream_rng(seed: int, tag: str, counter: int = 0) -> np.random.Generator:
-    """Counter-based stream: independent of call order and thread count."""
-    digest = hashlib.sha256(f"{seed}|{tag}|{counter}".encode("utf-8")).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
+    """A fresh counter-based stream, independent of call order."""
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, tag, counter)))
+
+
+# The one generator behind agent_step_rng: re-keying it costs a quarter of
+# building a new Philox. It is shared, so two threads must not step at once.
+_philox = np.random.Philox(0)
+_agent_rng = np.random.Generator(_philox)
+_fresh_state = _philox.state  # counter 0, an empty buffer, no cached half-word
 
 
 def agent_step_rng(seed: int, agent_id: str, step_index: int) -> np.random.Generator:
-    """The rng stream a policy sees for one (agent, step) evaluation."""
-    return stream_rng(seed, f"agent:{agent_id}", step_index)
+    """The control-noise stream of one (agent, step): the draws of
+    stream_rng(seed, "agent:<id>", step_index), from one shared generator
+    that is valid only until the next call."""
+    _fresh_state["state"]["key"] = _stream_key(seed, f"agent:{agent_id}", step_index)
+    _philox.state = _fresh_state
+    return _agent_rng
 
 
 # ---------------------------------------------------------------------------
 # Stepping
-
-
-def _apply_decision(agent: AgentState, decision: PolicyDecision, dt: float) -> AgentState:
-    if decision.pose_override is not None:
-        return replace(agent, pose=decision.pose_override, speed=decision.control.v)
-    return advance(agent, decision.control, dt)
 
 
 def _advance_agent(
@@ -86,16 +94,17 @@ def _advance_agent(
         policy = policies[agent.id]
     except KeyError:
         raise ValueError(f"no policy assigned for agent {agent.id!r}") from None
-    # The ego's policy is the planner under test: no rng stream, no noise.
-    rng = None if agent.id == prev.ego_id else agent_step_rng(cfg.seed, agent.id, t)
-    decision = policy_act(policy, agent.id, prev, smap, rng)
+    decision = policy_act(policy, agent.id, prev, smap)
+    if decision.pose_override is not None:
+        return replace(agent, pose=decision.pose_override, speed=decision.control.v)
+    c = decision.control
     sigma_phi, sigma_v = cfg.control_noise
-    if rng is not None and decision.pose_override is None and (sigma_phi > 0 or sigma_v > 0):
-        c = decision.control
+    # The ego's policy is the planner under test: it gets no noise.
+    if (sigma_phi > 0 or sigma_v > 0) and agent.id != prev.ego_id:
+        rng = agent_step_rng(cfg.seed, agent.id, t)
         phi = c.phi + sigma_phi * rng.standard_normal()
-        v = max(0.0, c.v + sigma_v * rng.standard_normal())
-        decision = PolicyDecision(Control(phi, v))
-    return _apply_decision(agent, decision, cfg.dt)
+        c = Control(phi, max(0.0, c.v + sigma_v * rng.standard_normal()))
+    return advance(agent, c, cfg.dt)
 
 
 def step(
@@ -104,30 +113,20 @@ def step(
     smap: SemanticMap,
     cfg: SimConfig,
     t: int,
-    pool: Optional[ThreadPoolExecutor] = None,
 ) -> SimState:
     """One synchronous transition: the ego and every active agent advance
     off the frozen previous state by their policies. Agents whose centers
     leave the region of interest around the new ego deactivate."""
-
-    def advance_one(agent):
-        return _advance_agent(agent, policies, prev, smap, cfg, t)
-
-    # The ego runs on the calling thread: one pool task more per step costs
-    # more than the ego's policy when a scene has few agents.
-    ego = advance_one(prev.ego)
-    movers = [a for a in prev.agents if a.active and a.id != prev.ego_id]
-    advanced = pool.map(advance_one, movers) if pool is not None else map(advance_one, movers)
-    moved = {a.id: a for a in advanced}
-    moved[prev.ego_id] = ego
-
+    ego = _advance_agent(prev.ego, policies, prev, smap, cfg, t)
     agents = []
     for a in prev.agents:
-        nxt = moved.get(a.id, a)
-        if nxt.active and a.id != prev.ego_id:
-            if math.hypot(nxt.pose.x - ego.pose.x, nxt.pose.y - ego.pose.y) > cfg.roi_radius:
-                nxt = replace(nxt, active=False)
-        agents.append(nxt)
+        if a.id == prev.ego_id:
+            a = ego
+        elif a.active:
+            a = _advance_agent(a, policies, prev, smap, cfg, t)
+            if math.hypot(a.pose.x - ego.pose.x, a.pose.y - ego.pose.y) > cfg.roi_radius:
+                a = replace(a, active=False)
+        agents.append(a)
     return SimState(step_index=t, agents=tuple(agents), ego_id=prev.ego_id)
 
 
@@ -160,19 +159,13 @@ def unroll(
     policies maps every agent id, the ego's included, to its policy."""
     states = [s1]
     termination = "completed"
-    pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        for k in range(1, cfg.horizon_steps + 1):
-            t = s1.step_index + k
-            state = step(states[-1], policies, smap, cfg, t, pool=pool)
-            states.append(state)
-            _log_agent_collisions(state)
-            if cfg.interrupt_on_ego_collision and ego_collides(state) is not None:
-                termination = "ego_collision"
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for k in range(1, cfg.horizon_steps + 1):
+        state = step(states[-1], policies, smap, cfg, s1.step_index + k)
+        states.append(state)
+        _log_agent_collisions(state)
+        if cfg.interrupt_on_ego_collision and ego_collides(state) is not None:
+            termination = "ego_collision"
+            break
     return Episode(dt=cfg.dt, map_id=smap.map_id, states=tuple(states), termination=termination)
 
 

@@ -243,8 +243,8 @@ def constant_speed_log(scene: SimState, cfg: SimConfig, smap: SemanticMap) -> Ep
     """What each agent would record if nothing reacted: everyone holds
     speed and heading. The non-reactive replay source for a scene."""
     # Noise-free on purpose: the non-reactive reference carries no control
-    # noise. One worker as before: a thread pool per small scene only costs.
-    run_cfg = replace(cfg, interrupt_on_ego_collision=False, control_noise=(0.0, 0.0), workers=1)
+    # noise.
+    run_cfg = replace(cfg, interrupt_on_ego_collision=False, control_noise=(0.0, 0.0))
     return unroll(scene, assign_policies(scene, ConstantVelocityPolicy()), smap, run_cfg)
 
 

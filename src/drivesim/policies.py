@@ -1,8 +1,11 @@
 """Per-agent transition policies: p(agent at t | state at t-1).
 
-Every policy sees only the previous state, the map, and its own rng
-stream, so decisions for different agents within a step are independent.
-Policies are immutable after construction and reentrant.
+Every policy sees only the previous state and the map, so decisions for
+different agents within a step are independent. Policies are
+deterministic: the same (agent, state, map) always gives the same
+decision, and the only randomness in a step is the engine's control
+noise, added after the policy has acted. Policies are immutable after
+construction and reentrant.
 """
 from __future__ import annotations
 
@@ -47,18 +50,18 @@ class PolicyDecision:
     pose_override: Optional[Pose2] = None
 
 
-def policy_act(policy, agent_id: str, state: SimState, smap: SemanticMap, rng=None) -> PolicyDecision:
+def policy_act(policy, agent_id: str, state: SimState, smap: SemanticMap) -> PolicyDecision:
     """Evaluate a policy for one agent against the previous state."""
     agent = state.agent(agent_id)
     if not agent.active:
         raise ValueError(f"agent {agent_id!r} is not active at step {state.step_index}")
-    return policy.act(agent_id, state, smap, rng)
+    return policy.act(agent_id, state, smap)
 
 
 class ConstantVelocityPolicy:
     """Keep the current speed and heading."""
 
-    def act(self, agent_id, state, smap, rng=None) -> PolicyDecision:
+    def act(self, agent_id, state, smap) -> PolicyDecision:
         return PolicyDecision(Control(0.0, state.agent(agent_id).speed))
 
 
@@ -72,7 +75,7 @@ class LogReplayPolicy:
     def __init__(self, source: Episode):
         self.source = source
 
-    def act(self, agent_id, state, smap, rng=None) -> PolicyDecision:
+    def act(self, agent_id, state, smap) -> PolicyDecision:
         first = self.source.states[0].step_index
         last = self.source.states[-1].step_index
         t = min(max(state.step_index + 1, first), last)
@@ -87,7 +90,7 @@ class BrakeToStopPolicy:
     dt: float = 0.1
     decel: float = 2.5
 
-    def act(self, agent_id, state, smap, rng=None) -> PolicyDecision:
+    def act(self, agent_id, state, smap) -> PolicyDecision:
         v = state.agent(agent_id).speed
         return PolicyDecision(Control(0.0, max(0.0, v - self.decel * self.dt)))
 
@@ -133,8 +136,7 @@ class LaneContext:
 
 # One entry, matched by identity: every policy and feature call of a step
 # reads the same frozen state, so the last context serves them all, and
-# nothing outlives the next state. Two threads that miss on one state each
-# build an equal context; either may be kept.
+# nothing outlives the next state.
 _last_context: tuple = (None, None, None)
 
 
@@ -215,7 +217,7 @@ class ReactiveFollowPolicy:
         s = max(gap, 0.1)
         return self.a_max * (1.0 - (v / self.v0) ** 4 - (s_star / s) ** 2)
 
-    def act(self, agent_id, state, smap, rng=None) -> PolicyDecision:
+    def act(self, agent_id, state, smap) -> PolicyDecision:
         me = state.agent(agent_id)
         v = me.speed
         try:
@@ -265,8 +267,8 @@ class PathOverridePolicy:
         t = (s - self._cumlen[i]) / self._seglen[i]
         return self.path[i] + t * self._seg[i]
 
-    def act(self, agent_id, state, smap, rng=None) -> PolicyDecision:
-        inner_decision = policy_act(self.inner, agent_id, state, smap, rng)
+    def act(self, agent_id, state, smap) -> PolicyDecision:
+        inner_decision = policy_act(self.inner, agent_id, state, smap)
         v = inner_decision.control.v
         me = state.agent(agent_id)
         _, _, s = project_to_polyline(self._segments, me.center)
@@ -543,7 +545,7 @@ class MlpPolicy:
         self.mlp = mlp
         self.extractor = extractor
 
-    def act(self, agent_id, state, smap, rng=None) -> PolicyDecision:
+    def act(self, agent_id, state, smap) -> PolicyDecision:
         feats = self.extractor.features(state, agent_id, smap)
         return PolicyDecision(mlp_forward(self.mlp, feats))
 

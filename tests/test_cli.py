@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +190,16 @@ class TestSimulateCommand:
             ("sim", "noise", [0.0, -1e-9]),
             ("mode", "episodes", 0),
             ("mode", "episodes", -3),
+            # counts must be whole numbers, not truncated ones
+            ("mode", "episodes", 2.7),
+            ("mode", "source_frame", 1.5),
+            ("sim", "horizon", 5.5),
+            ("sim", "seed", 0.5),
+            ("sim", "horizon", float("inf")),
+            ("policies", "train.batch", 32.5),
+            ("policies", "train.epochs", 2.7),
+            ("policies", "train.hidden", [16, 8.5]),
+            ("metrics", "suite.scenes", 10.1),
         ],
     )
     def test_config_type_error_exit_1_names_key(self, workspace, capsys, section, key, value):
@@ -194,12 +207,34 @@ class TestSimulateCommand:
             "sim": {"dt": 0.1, "horizon": 5, "seed": 0},
             "mode": {"name": "journey", "map": "map.json", "location": [50.0, 0.0, 0.0]},
         }
-        doc[section][key] = value
+        if key == "source_frame":  # read only in scenario mode
+            doc["mode"] = {"name": "scenario", "map": "map.json", "source_log": "source.jsonl"}
+        *parents, leaf = key.split(".")
+        node = doc.setdefault(section, {})
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = value
+        # each section is read by the command that uses it
+        command = {
+            "policies": ["train", "--dataset", str(workspace)],
+            "metrics": ["eval", "reactivity"],
+        }.get(section, ["simulate"])
         cfg_path = write_config(workspace / "run.json", doc)
         out = workspace / "x.jsonl"
-        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+        assert main(command + ["--config", cfg_path, "--out", str(out)]) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_whole_number_floats_are_counts(self, workspace):
+        doc = {
+            "sim": {"dt": 0.1, "horizon": 5.0, "seed": 1.0},
+            "mode": {"name": "journey", "map": "map.json", "location": [50.0, 0.0, 0.0], "episodes": 2.0},
+        }
+        cfg_path = write_config(workspace / "run.json", doc)
+        out = workspace / "episodes"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["episode_0000.jsonl", "episode_0001.jsonl"]
+        assert len(read_episode_log(out / "episode_0001.jsonl").states) == 6
 
     def test_dataset_read_once_per_run(self, workspace, straight_map, monkeypatch):
         from drivesim.cli import logs
@@ -427,3 +462,14 @@ class TestSampleStateCommand:
         assert main(["simulate", "--config", run_path, "--out", str(out)]) == 0
         ep = read_episode_log(out)
         assert len(ep.states) == 11
+
+
+def test_cli_import_leaves_scipy_out():
+    # no command needs scipy, so importing the CLI must not pay for it
+    import drivesim
+
+    src = str(Path(drivesim.__file__).resolve().parents[1])
+    code = "import sys; import drivesim.cli; print('scipy.ndimage' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

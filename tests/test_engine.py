@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from drivesim import engine
 from drivesim.core import AgentState, Pose2, SimState
 from drivesim.engine import (
     SimConfig,
@@ -10,6 +11,7 @@ from drivesim.engine import (
     assign_policies,
     run_mode,
     step,
+    stream_rng,
     unroll,
 )
 from drivesim.policies import (
@@ -35,6 +37,17 @@ class TestRngStreams:
         assert a != agent_step_rng(1, "x", 4).uniform()
         assert a != agent_step_rng(1, "y", 3).uniform()
         assert a != agent_step_rng(2, "x", 3).uniform()
+
+    def test_rekeyed_stream_draws_as_a_fresh_one(self):
+        for k in range(50):
+            used = agent_step_rng(0, "warm", k)
+            used.integers(0, 7, dtype=np.uint32)  # leaves a cached half-word
+            used.standard_normal(k % 5 + 1)  # leaves a part-used block
+            fresh = stream_rng(k, f"agent:a{k}", 3 * k)
+            expected = (fresh.standard_normal(3), fresh.integers(0, 1 << 30, dtype=np.uint32, size=3))
+            rekeyed = agent_step_rng(k, f"a{k}", 3 * k)
+            drawn = (rekeyed.standard_normal(3), rekeyed.integers(0, 1 << 30, dtype=np.uint32, size=3))
+            assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
 
     def test_order_independent(self):
         values = {}
@@ -76,7 +89,7 @@ class TestStep:
         from drivesim.kinematics import advance
 
         for agent_id in ("a", "b"):
-            frozen_decision = policy_act(pol, agent_id, s, straight_map, None)
+            frozen_decision = policy_act(pol, agent_id, s, straight_map)
             expected = advance(s.agent(agent_id), frozen_decision.control, 0.1)
             assert out.agent(agent_id) == expected
 
@@ -143,7 +156,13 @@ class TestUnroll:
         assert ep.termination == "completed"
         assert len(ep.states) == 51
 
-    def test_determinism_across_worker_counts(self, straight_map):
+    def test_shared_noise_stream_keeps_runs_repeatable(self, straight_map):
+        # every noisy agent-step re-keys one shared generator: a run in
+        # between, on another seed, must leave nothing behind in it
+        def run(seed):
+            cfg = SimConfig(dt=0.1, horizon_steps=30, seed=seed, control_noise=(0.02, 0.1))
+            return unroll(s, policies, straight_map, cfg)
+
         s = SimState(
             0,
             (car("ego", 60, speed=2.0),)
@@ -151,11 +170,30 @@ class TestUnroll:
             "ego",
         )
         policies = assign_policies(s, ReactiveFollowPolicy(dt=0.1), {"ego": ConstantVelocityPolicy()})
-        eps = []
-        for workers in (1, 4, 8):
-            cfg = SimConfig(dt=0.1, horizon_steps=30, seed=11, control_noise=(0.02, 0.1), workers=workers)
-            eps.append(unroll(s, policies, straight_map, cfg))
-        assert eps[0] == eps[1] == eps[2]
+        first = run(11)
+        other = run(12)
+        assert run(11) == first
+        assert other != first
+
+    def test_noise_streams_only_when_drawn(self, straight_map, monkeypatch):
+        calls = []
+        rekey = engine.agent_step_rng
+        monkeypatch.setattr(engine, "agent_step_rng", lambda *key: calls.append(key) or rekey(*key))
+        s = SimState(
+            0,
+            (car("ego", 100, speed=2.0),) + tuple(car(f"a{i}", 5.0 + 12.0 * i, speed=3.0) for i in range(4)),
+            "ego",
+        )
+        policies = assign_policies(s, ReactiveFollowPolicy(dt=0.1), {"ego": ConstantVelocityPolicy()})
+        quiet = unroll(s, policies, straight_map, SimConfig(dt=0.1, horizon_steps=10, seed=1))
+        assert calls == []
+        # with noise on: one stream per noisy agent-step, none for the ego
+        # or for an agent placed by a pose override
+        policies["a0"] = LogReplayPolicy(quiet)
+        cfg = SimConfig(dt=0.1, horizon_steps=10, seed=1, control_noise=(0.02, 0.1))
+        ep = unroll(s, policies, straight_map, cfg)
+        assert len(calls) == 3 * 10 == 3 * (len(ep.states) - 1)
+        assert {agent_id for _, agent_id, _ in calls} == {"a1", "a2", "a3"}
 
     def test_identical_runs_bit_identical(self, straight_map):
         s = SimState(0, (car("ego", 60, speed=2.0), car("a", 10, speed=5.0)), "ego")
@@ -306,8 +344,7 @@ class TestEgoControllers:
         assert all(b <= a for a, b in zip(speeds, speeds[1:]))
 
     def test_policy_ego_matches_policy(self, straight_map):
-        # the ego's policy gets no rng stream and no control noise, while
-        # the other agents do
+        # the ego gets no control noise, while the other agents do
         pol = ReactiveFollowPolicy(dt=0.1)
         s = SimState(0, (car("ego", 10, speed=3.0), car("a", 60, speed=5.0)), "ego")
         cfg = SimConfig(dt=0.1, seed=3, control_noise=(0.05, 0.5))
@@ -315,9 +352,9 @@ class TestEgoControllers:
         from drivesim.kinematics import advance
         from drivesim.policies import policy_act
 
-        expected = advance(s.ego, policy_act(pol, "ego", s, straight_map, None).control, 0.1)
+        expected = advance(s.ego, policy_act(pol, "ego", s, straight_map).control, 0.1)
         assert out.ego == expected
-        noiseless = advance(s.agent("a"), policy_act(pol, "a", s, straight_map, None).control, 0.1)
+        noiseless = advance(s.agent("a"), policy_act(pol, "a", s, straight_map).control, 0.1)
         assert out.agent("a") != noiseless
 
     def test_inactive_ego_is_rejected(self, straight_map):
