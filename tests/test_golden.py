@@ -1,8 +1,10 @@
 """Golden corpus: sha256 of the CLI outputs for a fixed set of small runs.
 
 The runs together cover all four modes; the constant, reactive_follow,
-log_replay and mlp policies; all four ego controllers; control noise on
-and off; --jobs 1 and 2; sample-state; eval reactivity and eval planner.
+log_replay and mlp policies, and mlp agents mixed with a reactive override
+over two episodes; all four ego controllers; control noise on and off;
+--jobs 1 and 2; sample-state; eval reactivity with a log-replay subject and
+with a tuned reactive_follow subject; and eval planner.
 A refactor must leave every digest unchanged. A change that moves one is
 a behaviour change and has to say why.
 
@@ -135,6 +137,23 @@ CONFIGS = dict(
             "reactivity",
             metrics={"suite": {"scenes": 6, "gap_range": [10, 30], "speed_range": [6, 12]}},
         ),
+        _config(
+            "full_mlp_mixed",
+            sim={"noise": NOISE},
+            mode={"name": "full", "episodes": 2, "procedural": PROCEDURAL},
+            policies={"default": "mlp", "weights": "weights.json", "overrides": {"agent_1": "reactive_follow"}},
+        ),
+        # Weak braking and a short headway: 3 of the 6 scenes collide, where
+        # the default parameters keep all 6 clean, so the digest shows that
+        # policies.reactive reaches the eval subject.
+        _config(
+            "reactivity_tuned",
+            policies={
+                "default": "constant",
+                "reactive": {"a_max": 0.1, "b": 200.0, "s0": 0.2, "t_headway": 0.1, "v0": 12.0},
+            },
+            metrics={"suite": {"scenes": 6, "gap_range": [10, 30], "speed_range": [6, 12]}},
+        ),
     ]
 )
 
@@ -161,6 +180,8 @@ RUNS = (
         ["--subject", "log_replay_constant"],
         False,
     ),
+    ("full_mlp_mixed", "simulate", "full_mlp_mixed", [], True),
+    ("eval_reactivity_reactive_follow", "eval reactivity", "reactivity_tuned", [], False),
     (
         "eval_planner",
         "eval planner",
@@ -191,6 +212,8 @@ GOLDEN = {
     "crash_brake": "49dfe20970deba2b05d40556c35dbd7e5769defe8dec0ff5922f182a86f08be6",
     "crash_reference": "7d63b1725a464f1af56f8ee47122dd94d8034e29b471606090b9e5a96e6d5fe2",
     "eval_reactivity_log_replay_constant": "57a4d0f91a50dfae2a569cbc84c0b87eecac8eaefb4bf475a9c3e153191221c2",
+    "full_mlp_mixed": "6fa4feae48b050c45d66f3ef0cd3c143a0e437a829ec42f7b473b2c85ffa17b9",
+    "eval_reactivity_reactive_follow": "de76b5a0726eedfdf99ab6ffef27edc24bf3e62e0839099bcdf9c57b7af6c530",
     "eval_planner": "27d808848a544d123a393008d9c5a552accbee54efef705d72ac1143005d4f28",
     "eval_planner_crash": "a625d57de507416504cee07b8138736266b2726263974604c59468788cb2719c",
 }
