@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .. import metrics
 from ..core import Episode
 from ..engine import run_mode, sample_initial_state
-from ..policies import build_bc_dataset, mlp_loss, mlp_train, save_mlp, controls_to_targets
+from ..policies import LogReplayPolicy, build_bc_dataset, mlp_loss, mlp_train, save_mlp, controls_to_targets
 from .config import ConfigError, RunSetup, load_run_config
 from .logs import read_episode_dir, read_episode_log, write_episode_log
 
@@ -84,24 +84,22 @@ def cmd_simulate(args) -> int:
     setup = _setup(args)
     n_episodes = setup.episode_count()
     out = Path(args.out)
-    episodes = []
-    for k in range(n_episodes):
-        cfg = setup.sim_config
-        if n_episodes > 1:
-            cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
-        episode = run_mode(
-            setup.mode_name,
-            smap=setup.smap,
-            cfg=cfg,
-            make_policies=setup.policies_factory(),
-            location=setup.location(),
-            s1=setup.initial_state(),
-            dataset=setup.dataset(),
-            proc_cfg=setup.procedural_config(),
-            anchor_radius=setup.mode_value("anchor_radius", 1e9),
-            forced_paths=setup.forced_paths() or None,
-        )
-        episodes.append(episode)
+    # everything but the seed is the same for every episode of the run
+    inputs = dict(
+        smap=setup.smap,
+        make_policies=setup.policies_factory(),
+        location=setup.location(),
+        s1=setup.initial_state(),
+        dataset=setup.dataset(),
+        proc_cfg=setup.procedural_config(),
+        anchor_radius=setup.mode_value("anchor_radius", 1e9),
+        forced_paths=setup.forced_paths() or None,
+    )
+    cfg = setup.sim_config
+    episodes = [
+        run_mode(setup.mode_name, cfg=dataclasses.replace(cfg, seed=cfg.seed + k), **inputs)
+        for k in range(n_episodes)
+    ]
     if n_episodes == 1:
         out.parent.mkdir(parents=True, exist_ok=True)
         write_episode_log(episodes[0], out)
@@ -155,15 +153,11 @@ def cmd_eval(args) -> int:
     if args.kind == "reactivity":
         suite = metrics.static_lead_suite(setup.smap, **setup.suite_params())
         if args.subject == "log_replay_constant":
-            from ..policies import LogReplayPolicy
-
             subject = lambda scene: LogReplayPolicy(
                 metrics.constant_speed_log(scene, setup.sim_config, setup.smap)
             )
         else:
-            subject = setup._make_policy(
-                "reactive_follow" if args.subject == "reactive_follow" else "constant"
-            )
+            subject = setup.policy(args.subject)
         report = metrics.reactivity(suite, subject, setup.sim_config, setup.smap)
         metrics.write_report(report, json_path, csv_path)
         print(
@@ -231,10 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (_UsageError, ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -3,6 +3,7 @@ ego / metrics sections. Unknown keys are rejected by name."""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Optional
 
@@ -97,13 +98,29 @@ def load_run_config(path: str | Path) -> dict:
     return doc
 
 
-def _value(section: dict, where: str, key: str, default, convert=float):
+def _number(value) -> float:
+    """A finite number; a JSON boolean is not one."""
+    if isinstance(value, bool):
+        raise ValueError("expected a number, got a boolean")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError("expected a finite number")
+    return out
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false")
+    return value
+
+
+def _value(section: dict, where: str, key: str, default, convert=_number):
     """section[key], or default, through convert; a ConfigError naming the
     key when the value does not convert."""
     value = section.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {where}.{key}: bad value {value!r}") from None
 
 
@@ -111,7 +128,7 @@ def _floats(n: int):
     """A converter for a list of exactly n numbers."""
 
     def convert(value) -> tuple:
-        out = tuple(float(v) for v in value)
+        out = tuple(_number(v) for v in value)
         if len(out) != n:
             raise ValueError(f"expected {n} numbers")
         return out
@@ -129,7 +146,7 @@ def _sigmas(value) -> tuple:
 
 def _int(value) -> int:
     """A whole number: 3 and 3.0 pass, 2.7 is an error, not 2."""
-    if isinstance(value, float) and not value.is_integer():
+    if not _number(value).is_integer():
         raise ValueError("expected a whole number")
     return int(value)
 
@@ -155,7 +172,7 @@ class RunSetup:
             dt=_value(sim, "sim", "dt", 0.1),
             horizon_steps=_value(sim, "sim", "horizon", 50, _int),
             seed=seed_override if seed_override is not None else _value(sim, "sim", "seed", 0, _int),
-            interrupt_on_ego_collision=bool(sim.get("interrupt_on_collision", True)),
+            interrupt_on_ego_collision=_value(sim, "sim", "interrupt_on_collision", True, _bool),
             control_noise=_value(sim, "sim", "noise", (0.0, 0.0), _sigmas),
             roi_radius=_value(sim, "sim", "roi_radius", 200.0),
         )
@@ -163,7 +180,7 @@ class RunSetup:
         self.mode_name = self.mode.get("name", "scenario")
         self._map: Optional[SemanticMap] = None
         self._source: Optional[Episode] = None
-        self._dataset: Optional[list[Episode]] = None
+        self._policies: dict[str, object] = {}
 
     def mode_value(self, key: str, default, convert=float):
         return _value(self.mode, "mode", key, default, convert)
@@ -205,14 +222,12 @@ class RunSetup:
         return Pose2(*self.mode_value("location", None, _floats(3)))
 
     def dataset(self) -> Optional[list[Episode]]:
-        """The episodes under mode.dataset_dir, read on first use."""
+        """The episodes under mode.dataset_dir."""
         if "dataset_dir" not in self.mode:
             return None
-        if self._dataset is None:
-            from .logs import read_episode_dir
+        from .logs import read_episode_dir
 
-            self._dataset = read_episode_dir(self._resolve(self.mode["dataset_dir"]))
-        return self._dataset
+        return read_episode_dir(self._resolve(self.mode["dataset_dir"]))
 
     def episode_count(self) -> int:
         return self.mode_value("episodes", 1, _count)
@@ -231,14 +246,19 @@ class RunSetup:
             for agent_id, path in self.mode.get("paths", {}).items()
         }
 
-    def _make_policy(self, name: str):
+    def policy(self, name: str):
+        """The policy named by a POLICY_NAMES or EGO_NAMES entry, built on
+        its first request and then shared for the rest of the run:
+        policies are immutable, so agents of one name hold one instance."""
+        if name in self._policies:
+            return self._policies[name]
         cfg = self.doc.get("policies", {})
         if name == "constant":
-            return ConstantVelocityPolicy()
-        if name == "reactive_follow":
+            policy = ConstantVelocityPolicy()
+        elif name == "reactive_follow":
             reactive = cfg.get("reactive", {})
             where = "policies.reactive"
-            return ReactiveFollowPolicy(
+            policy = ReactiveFollowPolicy(
                 dt=self.sim_config.dt,
                 a_max=_value(reactive, where, "a_max", 1.5),
                 b=_value(reactive, where, "b", 2.0),
@@ -246,25 +266,24 @@ class RunSetup:
                 t_headway=_value(reactive, where, "t_headway", 1.5),
                 v0=_value(reactive, where, "v0", 10.0),
             )
-        if name == "log_replay":
-            return LogReplayPolicy(self.source_episode)
-        if name == "mlp":
+        elif name == "log_replay":
+            policy = LogReplayPolicy(self.source_episode)
+        elif name == "mlp":
             if "weights" not in cfg:
                 raise ConfigError("policies.weights is required for the mlp policy")
-            mlp = load_mlp(self._resolve(cfg["weights"]))
-            return MlpPolicy(mlp, FeatureExtractor(dt=self.sim_config.dt))
-        raise ConfigError(f"unknown policy {name!r} (expected one of {POLICY_NAMES})")
-
-    def _ego_policy(self):
-        """The ego's policy, named by ego.controller."""
-        cfg = self.doc.get("ego", {})
-        name = cfg.get("controller", "constant")
-        if name == "brake_stop":
-            decel = _value(cfg.get("params", {}), "ego.params", "decel", 2.5)
-            return BrakeToStopPolicy(dt=self.sim_config.dt, decel=decel)
-        if name not in EGO_NAMES:
-            raise ConfigError(f"unknown ego controller {name!r} (expected one of {EGO_NAMES})")
-        return self._make_policy(name)
+            path = self._resolve(cfg["weights"])
+            try:
+                policy = MlpPolicy(load_mlp(path), FeatureExtractor(dt=self.sim_config.dt))
+            except (KeyError, TypeError, ValueError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ConfigError(f"config key policies.weights: bad model in {path}: {detail}") from None
+        elif name == "brake_stop":
+            decel = _value(self.doc.get("ego", {}).get("params", {}), "ego.params", "decel", 2.5)
+            policy = BrakeToStopPolicy(dt=self.sim_config.dt, decel=decel)
+        else:
+            raise ConfigError(f"unknown policy {name!r}")
+        self._policies[name] = policy
+        return policy
 
     def policies_factory(self):
         """state -> policy table for every agent: policies.default and
@@ -272,14 +291,20 @@ class RunSetup:
         cfg = self.doc.get("policies", {})
         default_name = cfg.get("default", "constant")
         overrides = cfg.get("overrides", {})
+        ego_name = self.doc.get("ego", {}).get("controller", "constant")
+
+        def named(name: str, allowed: tuple, what: str):
+            if name not in allowed:
+                raise ConfigError(f"unknown {what} {name!r} (expected one of {allowed})")
+            return self.policy(name)
 
         def make(state: SimState) -> dict:
             table = {
-                a.id: self._make_policy(overrides.get(a.id, default_name))
+                a.id: named(overrides.get(a.id, default_name), POLICY_NAMES, "policy")
                 for a in state.agents
                 if a.id != state.ego_id
             }
-            table[state.ego_id] = self._ego_policy()
+            table[state.ego_id] = named(ego_name, EGO_NAMES, "ego controller")
             return table
 
         return make
@@ -309,7 +334,7 @@ class RunSetup:
 
     def horizons(self) -> list[float]:
         m = self.doc.get("metrics", {})
-        return _value(m, "metrics", "horizons", (0.5, 1, 2, 3, 4, 5), lambda v: [float(h) for h in v])
+        return _value(m, "metrics", "horizons", (0.5, 1, 2, 3, 4, 5), lambda v: [_number(h) for h in v])
 
     def suite_params(self) -> dict:
         suite = self.doc.get("metrics", {}).get("suite", {})

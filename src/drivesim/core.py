@@ -234,13 +234,6 @@ def obb_overlap(a: Obb, b: Obb) -> bool:
     return bool(np.all(overlaps >= 0.0))
 
 
-def obb_separation_margin(a: Obb, b: Obb) -> float:
-    """Signed SAT margin: >= 0 means overlap (penetration depth along the
-    tightest axis), < 0 means separated by that gap."""
-    overlaps = _axis_overlaps(obb_corners(a), obb_corners(b), _obb_axes(a, b))
-    return float(overlaps.min())
-
-
 # ---------------------------------------------------------------------------
 # Semantic map
 

@@ -406,14 +406,9 @@ def _sigmoid(x):
 
 
 def mlp_forward(m: Mlp, features: np.ndarray) -> Control:
-    """Squashed control for one feature vector."""
-    features = np.asarray(features, dtype=float)
-    if features.shape != (m.weights[0].shape[0],):
-        raise ValueError(f"feature shape {features.shape} mismatches input size")
-    for w, b in zip(m.weights, m.biases):
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError("non-finite model parameters")
-    raw = _forward_raw(m, features[None, :])[0]
+    """Squashed control for one feature vector. MlpPolicy checks the model
+    once; here a wrong feature size fails in the product, NaN in Control."""
+    raw = _forward_raw(m, np.asarray(features, dtype=float)[None, :])[0]
     return Control(m.phi_max * math.tanh(raw[0]), m.v_max * _sigmoid(raw[1]))
 
 
@@ -539,9 +534,16 @@ def build_bc_dataset(
 
 
 class MlpPolicy:
-    """Learned transition policy: features -> MLP -> control."""
+    """Learned transition policy: features -> MLP -> control. The one place
+    a model is checked: N_FEATURES inputs, 2 outputs, finite parameters."""
 
     def __init__(self, mlp: Mlp, extractor: FeatureExtractor):
+        sizes = mlp.layer_sizes
+        if sizes[0] != N_FEATURES or sizes[-1] != 2:
+            raise ValueError(f"layer sizes {sizes}: expected {N_FEATURES} inputs and 2 outputs")
+        params = [*mlp.weights, *mlp.biases, np.array([mlp.phi_max, mlp.v_max], dtype=float)]
+        if not all(np.isfinite(p).all() for p in params):
+            raise ValueError("non-finite model parameters")
         self.mlp = mlp
         self.extractor = extractor
 

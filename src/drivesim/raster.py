@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -244,16 +243,3 @@ def extract_from_channel(grid: Grid, channel: str, min_pixels: int = 3) -> list[
             )
         )
     return out
-
-
-def write_grid_pgm(grid: Grid, prefix: str | Path) -> list[Path]:
-    """Dump each channel as a binary PGM (P5) named <prefix>_<channel>.pgm."""
-    prefix = Path(prefix)
-    paths = []
-    for name in sorted(grid.channels):
-        plane = (grid.channels[name] * 255).astype(np.uint8)
-        path = prefix.parent / f"{prefix.name}_{name}.pgm"
-        header = f"P5\n{grid.width_px} {grid.height_px}\n255\n".encode("ascii")
-        path.write_bytes(header + plane.tobytes())
-        paths.append(path)
-    return paths

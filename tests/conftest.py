@@ -77,6 +77,27 @@ def sample_obb_oracle(a, b, grid_n=100):
     return any_inside(points_of(a, grid_n), b) or any_inside(points_of(b, grid_n), a)
 
 
+def obb_separation_margin(a, b):
+    """Signed separating-axis margin: >= 0 means overlap (penetration depth
+    along the tightest axis), < 0 means separated by that gap. Tells a
+    near-tangent disagreement with sample_obb_oracle from a real one."""
+
+    def frame(obb):
+        c, s = math.cos(obb.yaw), math.sin(obb.yaw)
+        hx, hy = obb.half_extents
+        local = np.array([(hx, hy), (-hx, hy), (-hx, -hy), (hx, -hy)])
+        axes = np.array([(c, s), (-s, c)])
+        return local @ axes + np.asarray(obb.center), axes
+
+    corners_a, axes_a = frame(a)
+    corners_b, axes_b = frame(b)
+    axes = np.vstack([axes_a, axes_b])
+    pa = corners_a @ axes.T
+    pb = corners_b @ axes.T
+    overlaps = np.minimum(pa.max(axis=0), pb.max(axis=0)) - np.maximum(pa.min(axis=0), pb.min(axis=0))
+    return float(overlaps.min())
+
+
 def reference_project_to_polyline(pts, point):
     """The scalar projection loop the batched `project_to_polyline`
     replaced, kept as its bit-level oracle: (distance, lateral, arclength).

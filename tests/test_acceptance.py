@@ -20,7 +20,6 @@ from drivesim.core import (
     SimState,
     TrafficLight,
     obb_overlap,
-    obb_separation_margin,
     save_map,
 )
 from drivesim.engine import (
@@ -56,7 +55,7 @@ from drivesim.policies import (
 )
 from drivesim.raster import connected_components, extract_from_channel, render
 
-from conftest import sample_obb_oracle
+from conftest import obb_separation_margin, sample_obb_oracle
 from test_raster import union_find_components
 
 HORIZONS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)

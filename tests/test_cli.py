@@ -46,6 +46,27 @@ def write_config(path, doc):
     return str(path)
 
 
+def _one_output(doc):
+    last = doc["layers"][-1]
+    last["weights"] = last["weights"][:: last["cols"]]
+    last["bias"] = last["bias"][:1]
+    last["cols"] = 1
+
+
+def _infinite_weight(doc):
+    doc["layers"][1]["weights"][0] = float("inf")
+
+
+# Weights files that load_mlp or MlpPolicy reject, each by a different error.
+BAD_WEIGHTS = {
+    "no_layers": lambda doc: doc.pop("layers"),  # KeyError
+    "layers_not_a_list": lambda doc: doc.update(layers=5),  # TypeError
+    "one_output": _one_output,
+    "shape_mismatch": lambda doc: doc["layers"][0]["weights"].pop(),
+    "infinite_weight": _infinite_weight,
+}
+
+
 class TestEpisodeLog:
     def test_roundtrip_equality(self, straight_map):
         log = make_log(straight_map)
@@ -200,6 +221,17 @@ class TestSimulateCommand:
             ("policies", "train.epochs", 2.7),
             ("policies", "train.hidden", [16, 8.5]),
             ("metrics", "suite.scenes", 10.1),
+            # every number is finite and none is a JSON boolean
+            ("sim", "roi_radius", float("nan")),
+            ("sim", "roi_radius", float("inf")),
+            ("sim", "dt", float("inf")),
+            ("sim", "noise", [float("inf"), 0.0]),
+            ("mode", "episodes", True),
+            ("mode", "location", [50.0, float("nan"), 0.0]),
+            ("policies", "reactive.v0", float("inf")),
+            # a flag is a JSON boolean, not anything bool() accepts
+            ("sim", "interrupt_on_collision", "no"),
+            ("sim", "interrupt_on_collision", 0),
         ],
     )
     def test_config_type_error_exit_1_names_key(self, workspace, capsys, section, key, value):
@@ -219,6 +251,9 @@ class TestSimulateCommand:
             "policies": ["train", "--dataset", str(workspace)],
             "metrics": ["eval", "reactivity"],
         }.get(section, ["simulate"])
+        if key.startswith("reactive."):  # read when a reactive_follow policy is built
+            doc["policies"]["default"] = "reactive_follow"
+            command = ["simulate"]
         cfg_path = write_config(workspace / "run.json", doc)
         out = workspace / "x.jsonl"
         assert main(command + ["--config", cfg_path, "--out", str(out)]) == 1
@@ -259,6 +294,78 @@ class TestSimulateCommand:
         cfg_path = write_config(workspace / "run.json", doc)
         assert main(["simulate", "--config", cfg_path, "--out", str(workspace / "episodes")]) == 0
         assert len(calls) == 4
+
+    def test_agents_of_one_name_share_one_policy(self, workspace):
+        from drivesim.cli.config import RunSetup
+
+        doc = {
+            "mode": {"name": "scenario", "map": "map.json"},
+            "policies": {"default": "reactive_follow", "overrides": {"b": "constant", "e": "constant"}},
+            "ego": {"controller": "reactive_follow"},
+        }
+        make = RunSetup(doc, base_dir=workspace).policies_factory()
+        state = SimState(0, tuple(car(name, 10.0 * k) for k, name in enumerate("abcde")) + (car("ego", 60),), "ego")
+        table, again = make(state), make(state)
+        assert table["a"] is table["c"] is table["d"] is table["ego"] is again["a"]
+        assert table["b"] is table["e"] is again["b"]
+        assert isinstance(table["a"], ReactiveFollowPolicy) and isinstance(table["b"], ConstantVelocityPolicy)
+
+    def test_mlp_weights_loaded_once_per_run(self, workspace, monkeypatch):
+        from drivesim.cli import config
+        from drivesim.policies import init_mlp, load_mlp, save_mlp
+
+        save_mlp(init_mlp(seed=2), workspace / "weights.json")
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_mlp(path)
+
+        monkeypatch.setattr(config, "load_mlp", counting_load)
+        doc = {
+            "sim": {"dt": 0.1, "horizon": 5, "seed": 1},
+            "mode": {"name": "full", "map": "map.json", "episodes": 2, "procedural": {"agents_mean": 6.0}},
+            "policies": {"default": "mlp", "weights": "weights.json"},
+            "ego": {"controller": "constant"},
+        }
+        cfg_path = write_config(workspace / "run.json", doc)
+        out = workspace / "episodes"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        assert len(list(out.iterdir())) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("corrupt", list(BAD_WEIGHTS.values()), ids=list(BAD_WEIGHTS))
+    def test_bad_weights_file_exit_1(self, workspace, capsys, corrupt):
+        from drivesim.policies import init_mlp, save_mlp
+
+        weights = workspace / "weights.json"
+        save_mlp(init_mlp(seed=2), weights)
+        doc = json.loads(weights.read_text())
+        corrupt(doc)
+        weights.write_text(json.dumps(doc))
+        run = self.scenario_config(workspace)
+        run["policies"] = {"default": "mlp", "weights": "weights.json"}
+        cfg_path = write_config(workspace / "run.json", run)
+        out = workspace / "x.jsonl"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "policies.weights" in err and str(weights) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("policies", "default", "brake_stop", "unknown policy 'brake_stop'"),
+            ("policies", "default", "teleport", "unknown policy 'teleport'"),
+            ("ego", "controller", "mlp", "unknown ego controller 'mlp'"),
+        ],
+    )
+    def test_unknown_policy_name_exit_1(self, workspace, capsys, section, key, value, message):
+        doc = self.scenario_config(workspace)
+        doc[section][key] = value
+        cfg_path = write_config(workspace / "run.json", doc)
+        assert main(["simulate", "--config", cfg_path, "--out", str(workspace / "x.jsonl")]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("controller", ["constant", "log_replay", "reactive_follow", "brake_stop"])
     def test_inactive_ego_exit_2(self, workspace, straight_map, capsys, controller):

@@ -20,10 +20,9 @@ from drivesim.core import (
     nearest_lane,
     normalize_angle,
     obb_overlap,
-    obb_separation_margin,
 )
 
-from conftest import sample_obb_oracle
+from conftest import obb_separation_margin, sample_obb_oracle
 
 
 def random_obb(rng):

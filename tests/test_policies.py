@@ -413,6 +413,20 @@ class TestBcDataset:
 
 
 class TestMlpPolicy:
+    def test_rejects_infinite_weight_that_forward_hides(self):
+        m = init_mlp((N_FEATURES, 4, 2), seed=41)
+        m.weights[0][N_FEATURES - 1, 0] = math.inf  # fed by the constant bias feature
+        # tanh saturates, so a forward pass still gives a finite control
+        c = mlp_forward(m, np.ones(N_FEATURES))
+        assert math.isfinite(c.phi) and math.isfinite(c.v)
+        with pytest.raises(ValueError, match="non-finite"):
+            MlpPolicy(m, FeatureExtractor(dt=0.1))
+
+    @pytest.mark.parametrize("sizes", [(N_FEATURES, 4, 1), (N_FEATURES, 4, 3), (N_FEATURES - 1, 4, 2)])
+    def test_rejects_wrong_layer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="layer sizes"):
+            MlpPolicy(init_mlp(sizes, seed=41), FeatureExtractor(dt=0.1))
+
     def test_acts_with_bounded_controls(self, straight_map):
         pol = MlpPolicy(init_mlp(seed=41), FeatureExtractor(dt=0.1))
         s = state_of(car("ego", 50), car("a", 10, speed=4.0))

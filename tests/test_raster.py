@@ -9,7 +9,6 @@ from drivesim.raster import (
     extract_from_channel,
     min_area_rect,
     render,
-    write_grid_pgm,
 )
 
 
@@ -216,17 +215,3 @@ class TestExtractAgents:
             for g, w in zip(got, want):
                 assert math.hypot(g[0] - w[0], g[1] - w[1]) <= 0.5
 
-
-class TestPgmExport:
-    def test_writes_all_channels(self, tmp_path, straight_map):
-        grid = render(simple_state([]), straight_map, center=Pose2(0, 0, 0), size_px=16)
-        paths = write_grid_pgm(grid, tmp_path / "dbg")
-        assert sorted(p.name for p in paths) == [
-            "dbg_agents.pgm",
-            "dbg_crosswalks.pgm",
-            "dbg_ego.pgm",
-            "dbg_lanes.pgm",
-        ]
-        payload = paths[0].read_bytes()
-        assert payload.startswith(b"P5\n16 16\n255\n")
-        assert len(payload) == len(b"P5\n16 16\n255\n") + 16 * 16
