@@ -168,3 +168,82 @@ def reference_lead_gap(state, agent_id, smap, max_range=100.0):
         if gap < best_gap:
             best_gap, best_agent = gap, other
     return best_gap, best_agent
+
+
+def _reference_mark_obb(plane, centers, obb):
+    rel = centers - np.asarray(obb.center)
+    c, s = math.cos(obb.yaw), math.sin(obb.yaw)
+    local_x = rel[..., 0] * c + rel[..., 1] * s
+    local_y = -rel[..., 0] * s + rel[..., 1] * c
+    hx, hy = obb.half_extents
+    plane[(np.abs(local_x) <= hx) & (np.abs(local_y) <= hy)] = 1
+
+
+def _reference_mark_band(plane, centers, pts, half_width):
+    flat = centers.reshape(-1, 2)
+    a = pts[:-1]
+    d = np.diff(pts, axis=0)
+    len2 = np.einsum("ij,ij->i", d, d)
+    rel = flat[:, None, :] - a[None, :, :]
+    t = np.clip(np.einsum("pij,ij->pi", rel, d) / len2, 0.0, 1.0)
+    diff = rel - t[..., None] * d[None, :, :]
+    d2 = np.einsum("pij,pij->pi", diff, diff).min(axis=1)
+    plane.ravel()[d2 <= half_width * half_width] = 1
+
+
+def _reference_mark_polygon(plane, centers, poly):
+    flat = centers.reshape(-1, 2)
+    x, y = flat[:, 0], flat[:, 1]
+    inside = np.zeros(len(flat), dtype=bool)
+    n = len(poly)
+    for i in range(n):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % n]
+        crosses = (y0 > y) != (y1 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        inside ^= crosses & (x < np.where(crosses, xi, 0.0))
+    plane.ravel()[inside] = 1
+
+
+def reference_render(state, smap, center, resolution, size_px, sim_time=0.0):
+    """The full-grid `render` the clipped one replaced, kept as its
+    bit-level oracle: every lane, crosswalk and agent box tests every
+    pixel center of the grid."""
+    from drivesim.core import agent_obb
+    from drivesim.raster import CHANNEL_NAMES, Grid
+
+    shape = (size_px, size_px)
+    channels = {name: np.zeros(shape, dtype=np.uint8) for name in CHANNEL_NAMES}
+    grid = Grid(size_px, size_px, resolution, center, channels)
+    centers = grid.pixels_to_world(*np.indices(shape))
+    for lane in smap.lanes:
+        if smap.lane_red_at(lane.id, sim_time):
+            continue
+        _reference_mark_band(channels["lanes"], centers, lane.centerline, lane.width / 2.0)
+    for poly in smap.crosswalks:
+        _reference_mark_polygon(channels["crosswalks"], centers, poly)
+    for agent in state.agents:
+        if not agent.active:
+            continue
+        name = "ego" if agent.id == state.ego_id else "agents"
+        _reference_mark_obb(channels[name], centers, agent_obb(agent))
+    return grid
+
+
+def reference_connected_components(channel):
+    """The per-pixel labelling loop the one-pass `connected_components`
+    replaced: components ordered by their first row-major pixel, each in
+    row-major order."""
+    from scipy import ndimage
+
+    plane = np.asarray(channel)
+    labels, count = ndimage.label(plane != 0, structure=np.ones((3, 3), dtype=int))
+    if count == 0:
+        return []
+    first_seen = {}
+    for idx, lab in enumerate(labels.ravel()):
+        if lab and lab not in first_seen:
+            first_seen[lab] = idx
+    order = sorted(first_seen, key=first_seen.get)
+    return [np.argwhere(labels == lab) for lab in order]
