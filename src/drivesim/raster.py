@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Obb, Pose2, SemanticMap, SimState, agent_obb, normalize_angle
+from .core import Obb, Pose2, SemanticMap, SimState, agent_obb, normalize_angle, obb_corners
 
 CHANNEL_NAMES = ("lanes", "crosswalks", "ego", "agents")
 
@@ -50,6 +50,32 @@ class Grid:
         )
 
 
+def _pixel_rects(grid: Grid, pts: np.ndarray, pad: float = 0.0):
+    """Half-open pixel index ranges (r0, r1, c0, c1), clipped to the grid,
+    that cover each group of world points in pts (..., K, 2) padded by pad
+    metres and one pixel; empty (r0 >= r1 or c0 >= c1) where the padded
+    group misses the grid."""
+    c, s = math.cos(grid.center.yaw), math.sin(grid.center.yaw)
+    dx = pts[..., 0] - grid.center.x
+    dy = pts[..., 1] - grid.center.y
+    cols = (c * dx + s * dy) / grid.resolution + (grid.width_px / 2.0 - 0.5)
+    rows = (grid.height_px / 2.0 - 0.5) - (-s * dx + c * dy) / grid.resolution
+    margin = pad / grid.resolution + 1.0
+
+    def span(at, n):
+        lo = np.clip(np.floor(at.min(axis=-1) - margin), 0, n).astype(np.intp)
+        hi = np.clip(np.ceil(at.max(axis=-1) + margin) + 1, 0, n).astype(np.intp)
+        return lo, hi
+
+    return (*span(rows, grid.height_px), *span(cols, grid.width_px))
+
+
+def _nonempty(r0, r1, c0, c1):
+    """The indices of the non-empty rectangles, with their slices."""
+    for i in np.flatnonzero((r0 < r1) & (c0 < c1)):
+        yield i, (slice(r0[i], r1[i]), slice(c0[i], c1[i]))
+
+
 def _mark_obb_footprint(plane: np.ndarray, centers: np.ndarray, obb: Obb) -> None:
     """Set pixels whose centers fall inside the rectangle (inclusive)."""
     rel = centers - np.asarray(obb.center)
@@ -63,7 +89,8 @@ def _mark_obb_footprint(plane: np.ndarray, centers: np.ndarray, obb: Obb) -> Non
 def _mark_polyline_band(
     plane: np.ndarray, centers: np.ndarray, pts: np.ndarray, half_width: float
 ) -> None:
-    """Set pixels whose centers lie within half_width of the polyline."""
+    """Set pixels whose centers lie within half_width of the polyline.
+    plane may be a strided view, so it is written through a 2-D mask."""
     flat = centers.reshape(-1, 2)
     a = pts[:-1]
     d = np.diff(pts, axis=0)
@@ -72,7 +99,7 @@ def _mark_polyline_band(
     t = np.clip(np.einsum("pij,ij->pi", rel, d) / len2, 0.0, 1.0)
     diff = rel - t[..., None] * d[None, :, :]
     d2 = np.einsum("pij,pij->pi", diff, diff).min(axis=1)
-    plane.ravel()[d2 <= half_width * half_width] = 1
+    plane[(d2 <= half_width * half_width).reshape(plane.shape)] = 1
 
 
 def _mark_polygon(plane: np.ndarray, centers: np.ndarray, poly: np.ndarray) -> None:
@@ -88,7 +115,24 @@ def _mark_polygon(plane: np.ndarray, centers: np.ndarray, poly: np.ndarray) -> N
         with np.errstate(divide="ignore", invalid="ignore"):
             xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
         inside ^= crosses & (x < np.where(crosses, xi, 0.0))
-    plane.ravel()[inside] = 1
+    plane[inside.reshape(plane.shape)] = 1
+
+
+def _near_lanes(grid: Grid, smap: SemanticMap) -> np.ndarray:
+    """Indices of the lanes whose band can reach a pixel center: their
+    centerline box, grown by half the lane width and one pixel, meets the
+    world-aligned box of the grid's pixel centers."""
+    h, w = grid.height_px, grid.width_px
+    corners = grid.pixels_to_world(np.array([0, 0, h - 1, h - 1]), np.array([0, w - 1, 0, w - 1]))
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    boxes = smap.lane_boxes
+    reach = np.array([lane.width / 2.0 for lane in smap.lanes]) + grid.resolution
+    return np.flatnonzero(
+        (boxes[:, 0] - reach <= hi[0])
+        & (boxes[:, 2] + reach >= lo[0])
+        & (boxes[:, 1] - reach <= hi[1])
+        & (boxes[:, 3] + reach >= lo[1])
+    )
 
 
 def render(
@@ -104,6 +148,10 @@ def render(
     Lanes controlled by a light that is red at sim_time are left blank.
     The ego footprint goes to the ego channel, all other active agents to
     the agents channel; anything outside the grid is clipped.
+
+    Each lane segment, crosswalk and agent box tests only the pixels of
+    the rectangle its bounding box covers, so a frame costs what lies
+    inside its window, not what the map holds.
     """
     if size_px <= 0 or resolution <= 0:
         raise ValueError("size_px and resolution must be positive")
@@ -112,17 +160,24 @@ def render(
     grid = Grid(size_px, size_px, resolution, center, channels)
     centers = grid.pixels_to_world(*np.indices(shape))
 
-    for lane in smap.lanes:
+    lanes = channels["lanes"]
+    for k in _near_lanes(grid, smap):
+        lane = smap.lanes[k]
         if smap.lane_red_at(lane.id, sim_time):
             continue
-        _mark_polyline_band(channels["lanes"], centers, lane.centerline, lane.width / 2.0)
+        pts, half_width = lane.centerline, lane.width / 2.0
+        segments = np.stack((pts[:-1], pts[1:]), axis=1)
+        for i, rect in _nonempty(*_pixel_rects(grid, segments, half_width)):
+            _mark_polyline_band(lanes[rect], centers[rect], segments[i], half_width)
     for poly in smap.crosswalks:
-        _mark_polygon(channels["crosswalks"], centers, poly)
-    for agent in state.agents:
-        if not agent.active:
-            continue
-        name = "ego" if agent.id == state.ego_id else "agents"
-        _mark_obb_footprint(channels[name], centers, agent_obb(agent))
+        for _, rect in _nonempty(*_pixel_rects(grid, poly[None])):
+            _mark_polygon(channels["crosswalks"][rect], centers[rect], poly)
+    active = [agent for agent in state.agents if agent.active]
+    boxes = [agent_obb(agent) for agent in active]
+    corners = np.array([obb_corners(box) for box in boxes]).reshape(-1, 4, 2)
+    for i, rect in _nonempty(*_pixel_rects(grid, corners)):
+        name = "ego" if active[i].id == state.ego_id else "agents"
+        _mark_obb_footprint(channels[name][rect], centers[rect], boxes[i])
     return grid
 
 
@@ -138,12 +193,14 @@ def connected_components(channel: np.ndarray) -> list[np.ndarray]:
     labels, count = ndimage.label(plane != 0, structure=np.ones((3, 3), dtype=int))
     if count == 0:
         return []
-    first_seen = {}
-    for idx, lab in enumerate(labels.ravel()):
-        if lab and lab not in first_seen:
-            first_seen[lab] = idx
-    order = sorted(first_seen, key=first_seen.get)
-    return [np.argwhere(labels == lab) for lab in order]
+    flat = labels.ravel()
+    pixels = np.flatnonzero(flat)
+    owner = flat[pixels]
+    _, first, sizes = np.unique(owner, return_index=True, return_counts=True)
+    # a stable sort keeps each component's pixels in row-major order
+    groups = np.split(pixels[np.argsort(owner, kind="stable")], np.cumsum(sizes)[:-1])
+    width = plane.shape[1]
+    return [np.stack(np.divmod(groups[k], width), axis=1) for k in np.argsort(first)]
 
 
 @dataclass(frozen=True)

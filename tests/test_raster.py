@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from drivesim.core import AgentState, Pose2, SemanticMap, SimState, normalize_angle
+from drivesim import raster
+from drivesim.core import AgentState, Lane, Pose2, SemanticMap, SimState, normalize_angle
 from drivesim.raster import (
     connected_components,
     extract_from_channel,
@@ -215,3 +217,58 @@ class TestExtractAgents:
             for g, w in zip(got, want):
                 assert math.hypot(g[0] - w[0], g[1] - w[1]) <= 0.5
 
+
+
+def eight_lanes(extra=0):
+    """8 parallel 400 m lanes 3.5 m apart, plus `extra` 20-segment lanes
+    at least 1.6 km from all of them."""
+    lanes = [Lane(f"l{k}", np.array([[0.0, 3.5 * k], [400.0, 3.5 * k]]), 3.5) for k in range(8)]
+    for k in range(extra):
+        x0, y0 = 2000.0 + 50.0 * (k % 40), 2000.0 + 50.0 * (k // 40)
+        pts = np.column_stack([x0 + 2.0 * np.arange(21), y0 + np.sin(np.arange(21))])
+        lanes.append(Lane(f"far{k:04d}", pts, 3.5))
+    return SemanticMap(lanes=tuple(lanes))
+
+
+class TestRenderCost:
+    """What a frame costs follows the shapes inside its window: counted in
+    pixels handed to the band predicate and in traced bytes, not timed."""
+
+    def band_pixels(self, monkeypatch, smap, state, center):
+        seen = []
+        real = raster._mark_polyline_band
+
+        def counting(plane, centers, pts, half_width):
+            seen.append(plane.size)
+            return real(plane, centers, pts, half_width)
+
+        monkeypatch.setattr(raster, "_mark_polyline_band", counting)
+        grid = render(state, smap, center, resolution=0.5, size_px=128)
+        return sum(seen), grid.channels["lanes"]
+
+    def test_distant_lanes_cost_no_pixels(self, monkeypatch):
+        ego = AgentState(id="ego", pose=Pose2(100, 7, 0), extent=(4.5, 2), speed=0)
+        cars = [AgentState(id=f"c{k}", pose=Pose2(80 + 9 * k, 3.5 * (k % 8), 0), extent=(4.5, 2), speed=0)
+                for k in range(6)]
+        state = simple_state(cars, ego=ego)
+        small, plane_small = self.band_pixels(monkeypatch, eight_lanes(), state, ego.pose)
+        big, plane_big = self.band_pixels(monkeypatch, eight_lanes(extra=1000), state, ego.pose)
+        assert small > 0
+        assert big == small
+        np.testing.assert_array_equal(plane_big, plane_small)
+
+    def test_long_lane_frame_memory_is_bounded(self):
+        # a full-grid band would allocate pixels x segments x 2 float64
+        # values: about 2 GB here
+        x = np.linspace(-70.0, 70.0, 2001)
+        lane = Lane("wave", np.column_stack([x, 20.0 * np.sin(x / 9.0)]), 3.5)
+        smap = SemanticMap(lanes=(lane,))
+        state = simple_state([], ego=AgentState(id="ego", pose=Pose2(0, 0, 0), extent=(4.5, 2), speed=0))
+        tracemalloc.start()
+        try:
+            grid = render(state, smap, Pose2(0, 0, 0.1), resolution=0.5, size_px=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.channels["lanes"].sum() > 0
+        assert peak < 100 * 2**20
