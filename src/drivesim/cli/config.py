@@ -108,6 +108,33 @@ def _number(value) -> float:
     return out
 
 
+def _positive(value) -> float:
+    out = _number(value)
+    if not out > 0:
+        raise ValueError("expected a number > 0")
+    return out
+
+
+def _non_negative(value) -> float:
+    out = _number(value)
+    if out < 0:
+        raise ValueError("expected a number >= 0")
+    return out
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("expected a string")
+    return value
+
+
+def _names(value) -> dict:
+    """An object whose values are names (policies.overrides)."""
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise ValueError("expected an object of names")
+    return value
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError("expected true or false")
@@ -185,8 +212,9 @@ class RunSetup:
     def mode_value(self, key: str, default, convert=float):
         return _value(self.mode, "mode", key, default, convert)
 
-    def _resolve(self, rel: str) -> Path:
-        p = Path(rel)
+    def _path(self, section: dict, where: str, key: str) -> Path:
+        """The path string at section[key], relative to the config file."""
+        p = Path(_value(section, where, key, None, _text))
         return p if p.is_absolute() else self.base_dir / p
 
     @property
@@ -194,7 +222,7 @@ class RunSetup:
         if self._map is None:
             if "map" not in self.mode:
                 raise ConfigError("mode.map is required")
-            self._map = load_map(self._resolve(self.mode["map"]))
+            self._map = load_map(self._path(self.mode, "mode", "map"))
         return self._map
 
     @property
@@ -204,7 +232,7 @@ class RunSetup:
                 raise ConfigError("mode.source_log is required for this mode/policy")
             from .logs import read_episode_log
 
-            self._source = read_episode_log(self._resolve(self.mode["source_log"]))
+            self._source = read_episode_log(self._path(self.mode, "mode", "source_log"))
         return self._source
 
     def initial_state(self) -> Optional[SimState]:
@@ -227,7 +255,7 @@ class RunSetup:
             return None
         from .logs import read_episode_dir
 
-        return read_episode_dir(self._resolve(self.mode["dataset_dir"]))
+        return read_episode_dir(self._path(self.mode, "mode", "dataset_dir"))
 
     def episode_count(self) -> int:
         return self.mode_value("episodes", 1, _count)
@@ -260,18 +288,18 @@ class RunSetup:
             where = "policies.reactive"
             policy = ReactiveFollowPolicy(
                 dt=self.sim_config.dt,
-                a_max=_value(reactive, where, "a_max", 1.5),
-                b=_value(reactive, where, "b", 2.0),
-                s0=_value(reactive, where, "s0", 2.0),
-                t_headway=_value(reactive, where, "t_headway", 1.5),
-                v0=_value(reactive, where, "v0", 10.0),
+                a_max=_value(reactive, where, "a_max", 1.5, _positive),
+                b=_value(reactive, where, "b", 2.0, _positive),
+                s0=_value(reactive, where, "s0", 2.0, _non_negative),
+                t_headway=_value(reactive, where, "t_headway", 1.5, _non_negative),
+                v0=_value(reactive, where, "v0", 10.0, _positive),
             )
         elif name == "log_replay":
             policy = LogReplayPolicy(self.source_episode)
         elif name == "mlp":
             if "weights" not in cfg:
                 raise ConfigError("policies.weights is required for the mlp policy")
-            path = self._resolve(cfg["weights"])
+            path = self._path(cfg, "policies", "weights")
             try:
                 policy = MlpPolicy(load_mlp(path), FeatureExtractor(dt=self.sim_config.dt))
             except (KeyError, TypeError, ValueError) as exc:
@@ -290,7 +318,7 @@ class RunSetup:
         policies.overrides for the others, ego.controller for the ego."""
         cfg = self.doc.get("policies", {})
         default_name = cfg.get("default", "constant")
-        overrides = cfg.get("overrides", {})
+        overrides = _value(cfg, "policies", "overrides", {}, _names)
         ego_name = self.doc.get("ego", {}).get("controller", "constant")
 
         def named(name: str, allowed: tuple, what: str):

@@ -229,6 +229,19 @@ class TestSimulateCommand:
             ("mode", "episodes", True),
             ("mode", "location", [50.0, float("nan"), 0.0]),
             ("policies", "reactive.v0", float("inf")),
+            # the reactive law divides by v0 and sqrt(a_max * b)
+            ("policies", "reactive.v0", 0),
+            ("policies", "reactive.a_max", -1),
+            ("policies", "reactive.b", 0.0),
+            ("policies", "reactive.s0", -0.5),
+            ("policies", "reactive.t_headway", -1),
+            # paths are strings, and overrides an object of names
+            ("mode", "map", 5),
+            ("mode", "source_log", ["source.jsonl"]),
+            ("mode", "dataset_dir", 7),
+            ("policies", "weights", 5),
+            ("policies", "overrides", ["agent_1", "constant"]),
+            ("policies", "overrides", {"agent_1": 3}),
             # a flag is a JSON boolean, not anything bool() accepts
             ("sim", "interrupt_on_collision", "no"),
             ("sim", "interrupt_on_collision", 0),
@@ -239,7 +252,7 @@ class TestSimulateCommand:
             "sim": {"dt": 0.1, "horizon": 5, "seed": 0},
             "mode": {"name": "journey", "map": "map.json", "location": [50.0, 0.0, 0.0]},
         }
-        if key == "source_frame":  # read only in scenario mode
+        if key in ("source_frame", "source_log"):  # read only in scenario mode
             doc["mode"] = {"name": "scenario", "map": "map.json", "source_log": "source.jsonl"}
         *parents, leaf = key.split(".")
         node = doc.setdefault(section, {})
@@ -251,8 +264,10 @@ class TestSimulateCommand:
             "policies": ["train", "--dataset", str(workspace)],
             "metrics": ["eval", "reactivity"],
         }.get(section, ["simulate"])
-        if key.startswith("reactive."):  # read when a reactive_follow policy is built
-            doc["policies"]["default"] = "reactive_follow"
+        # read when simulate builds its policy table
+        default = {"reactive": "reactive_follow", "weights": "mlp", "overrides": "constant"}.get(key.split(".")[0])
+        if section == "policies" and default:
+            doc["policies"]["default"] = default
             command = ["simulate"]
         cfg_path = write_config(workspace / "run.json", doc)
         out = workspace / "x.jsonl"
