@@ -165,10 +165,7 @@ def _floats(n: int):
 
 def _sigmas(value) -> tuple:
     """Two noise standard deviations, each >= 0."""
-    out = _floats(2)(value)
-    if min(out) < 0:
-        raise ValueError("noise sigmas must be >= 0")
-    return out
+    return tuple(_non_negative(v) for v in _floats(2)(value))
 
 
 def _int(value) -> int:

@@ -350,11 +350,9 @@ class SemanticMap:
     def lane_boxes(self) -> np.ndarray:
         """Each lane's centerline bounding box as a (lanes, 4) array of
         (x_min, y_min, x_max, y_max) rows, in `lanes` order."""
-        if not self.lanes:
-            return np.empty((0, 4))
         return np.array(
             [(*l.centerline.min(axis=0), *l.centerline.max(axis=0)) for l in self.lanes]
-        )
+        ).reshape(-1, 4)
 
     @cached_property
     def _light_by_id(self) -> dict[str, TrafficLight]:
