@@ -234,7 +234,7 @@ class TestRenderCost:
     """What a frame costs follows the shapes inside its window: counted in
     pixels handed to the band predicate and in traced bytes, not timed."""
 
-    def band_pixels(self, monkeypatch, smap, state, center):
+    def test_distant_lanes_cost_no_pixels(self, monkeypatch):
         seen = []
         real = raster._mark_polyline_band
 
@@ -243,19 +243,18 @@ class TestRenderCost:
             return real(plane, centers, pts, half_width)
 
         monkeypatch.setattr(raster, "_mark_polyline_band", counting)
-        grid = render(state, smap, center, resolution=0.5, size_px=128)
-        return sum(seen), grid.channels["lanes"]
-
-    def test_distant_lanes_cost_no_pixels(self, monkeypatch):
         ego = AgentState(id="ego", pose=Pose2(100, 7, 0), extent=(4.5, 2), speed=0)
         cars = [AgentState(id=f"c{k}", pose=Pose2(80 + 9 * k, 3.5 * (k % 8), 0), extent=(4.5, 2), speed=0)
                 for k in range(6)]
         state = simple_state(cars, ego=ego)
-        small, plane_small = self.band_pixels(monkeypatch, eight_lanes(), state, ego.pose)
-        big, plane_big = self.band_pixels(monkeypatch, eight_lanes(extra=1000), state, ego.pose)
-        assert small > 0
-        assert big == small
-        np.testing.assert_array_equal(plane_big, plane_small)
+        pixels, planes = [], []
+        for smap in (eight_lanes(), eight_lanes(extra=1000)):
+            seen.clear()
+            planes.append(render(state, smap, ego.pose, resolution=0.5, size_px=128).channels["lanes"])
+            pixels.append(sum(seen))
+        assert pixels[0] > 0
+        assert pixels[1] == pixels[0]
+        np.testing.assert_array_equal(planes[1], planes[0])
 
     def test_long_lane_frame_memory_is_bounded(self):
         # a full-grid band would allocate pixels x segments x 2 float64
