@@ -50,10 +50,8 @@ def scenes(draw):
         cu, cv = draw(st.floats(-2 * half - 5, 2 * half + 5)), draw(st.floats(-2 * half - 5, 2 * half + 5))
         radius, start = draw(st.floats(1.0, 30.0)), draw(st.floats(-math.pi, math.pi))
         sweep, n = draw(st.floats(0.3, 2 * math.pi - 0.1)), draw(st.integers(2, 12))
-        pts = [
-            to_world(center, cu + radius * math.cos(start + sweep * i / n), cv + radius * math.sin(start + sweep * i / n))
-            for i in range(n + 1)
-        ]
+        angles = [start + sweep * i / n for i in range(n + 1)]
+        pts = [to_world(center, cu + radius * math.cos(a), cv + radius * math.sin(a)) for a in angles]
         lanes.append(Lane(f"c{k}", np.array(pts), draw(st.sampled_from((3.5, 1.0)))))
     lights, sim_time = (), draw(st.sampled_from((5.0, 15.0)))
     if lanes and draw(st.booleans()):
@@ -67,8 +65,8 @@ def scenes(draw):
         cu, cv = draw(st.floats(-half - 4, half + 4)), draw(st.floats(-half - 4, half + 4))
         n = draw(st.integers(3, 5))
         radii = draw(st.lists(st.floats(0.3, 4.0), min_size=n, max_size=n))
-        crosswalks.append([to_world(center, cu + r * math.cos(2 * math.pi * i / n), cv + r * math.sin(2 * math.pi * i / n))
-                           for i, r in enumerate(radii)])
+        angles = [2 * math.pi * i / n for i in range(n)]
+        crosswalks.append([to_world(center, cu + r * math.cos(a), cv + r * math.sin(a)) for a, r in zip(angles, radii)])
     # agent boxes inside, straddling or just beyond an edge
     agents = []
     for k in range(draw(st.integers(1, 6))):
@@ -104,7 +102,9 @@ def test_render_and_components_match_reference(scene):
     for name in CHANNEL_NAMES:
         assert got.channels[name].dtype == want.channels[name].dtype
         np.testing.assert_array_equal(got.channels[name], want.channels[name], err_msg=name)
-        assert_same_components(connected_components(got.channels[name]), reference_connected_components(want.channels[name]))
+        assert_same_components(
+            connected_components(got.channels[name]), reference_connected_components(want.channels[name])
+        )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
