@@ -7,10 +7,8 @@ import math
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from ..core import Episode, Pose2, SemanticMap, SimState, load_map
-from ..engine import SimConfig
+from ..core import Episode, Polyline, Pose2, SemanticMap, SimState, load_map
+from ..engine import MODES, SimConfig
 from ..initstate import ProceduralConfig
 from ..metrics import PlannerThresholds
 from ..policies import (
@@ -29,46 +27,44 @@ class ConfigError(Exception):
     """Malformed run configuration (reported as a usage error, exit 1)."""
 
 
-SCHEMA = {
-    "sim": {"dt", "horizon", "seed", "noise", "roi_radius", "interrupt_on_collision"},
-    "mode": {
-        "name",
-        "map",
-        "episodes",
-        "location",
-        "source_log",
-        "source_frame",
-        "dataset_dir",
-        "anchor_radius",
-        "procedural",
-        "paths",
-    },
-    "policies": {"default", "overrides", "weights", "reactive", "train"},
-    "ego": {"controller", "params"},
-    "metrics": {
-        "horizons",
-        "d_thresh",
-        "window_s",
-        "kappa",
-        "g_free",
-        "l_thresh",
-        "suite",
-    },
-}
-PROCEDURAL_KEYS = {"agents_mean", "min_gap", "speed_range"}
-REACTIVE_KEYS = {"a_max", "b", "s0", "t_headway", "v0"}
-TRAIN_KEYS = {"lr", "batch", "epochs", "hidden", "history_s"}
-SUITE_KEYS = {"scenes", "gap_range", "speed_range"}
+def _keys(*names, **sections) -> dict:
+    """One level of the schema: a plain key maps to None, a nested section
+    to its own level."""
+    return {**dict.fromkeys(names), **sections}
+
+
+SCHEMA = _keys(
+    sim=_keys("dt", "horizon", "seed", "noise", "roi_radius", "interrupt_on_collision"),
+    mode=_keys(
+        "name", "map", "episodes", "location", "source_log", "source_frame", "dataset_dir",
+        "anchor_radius", "paths", procedural=_keys("agents_mean", "min_gap", "speed_range"),
+    ),
+    policies=_keys(
+        "default", "overrides", "weights",
+        reactive=_keys("a_max", "b", "s0", "t_headway", "v0"),
+        train=_keys("lr", "batch", "epochs", "hidden", "history_s"),
+    ),
+    ego=_keys("controller", params=_keys("decel")),
+    metrics=_keys(
+        "horizons", "d_thresh", "window_s", "kappa", "g_free", "l_thresh",
+        suite=_keys("scenes", "gap_range", "speed_range"),
+    ),
+)
 POLICY_NAMES = ("constant", "reactive_follow", "log_replay", "mlp")
 EGO_NAMES = ("constant", "log_replay", "reactive_follow", "brake_stop")
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"section {where!r} must be an object")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {where}.{key}")
+def _reject_unknown(obj: dict, schema: dict, where: str) -> None:
+    """Every key of obj is in its schema level, and every nested section is
+    an object whose keys are in turn."""
+    for key, value in obj.items():
+        name = f"{where}.{key}" if where else key
+        if key not in schema:
+            raise ConfigError(f"unknown config key: {name}")
+        if schema[key] is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"section {name!r} must be an object")
+            _reject_unknown(value, schema[key], name)
 
 
 def load_run_config(path: str | Path) -> dict:
@@ -78,23 +74,7 @@ def load_run_config(path: str | Path) -> dict:
         raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    for key in doc:
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key: {key}")
-    for section, allowed in SCHEMA.items():
-        if section in doc:
-            _reject_unknown(doc[section], allowed, section)
-    mode = doc.get("mode", {})
-    if "procedural" in mode:
-        _reject_unknown(mode["procedural"], PROCEDURAL_KEYS, "mode.procedural")
-    policies = doc.get("policies", {})
-    if "reactive" in policies:
-        _reject_unknown(policies["reactive"], REACTIVE_KEYS, "policies.reactive")
-    if "train" in policies:
-        _reject_unknown(policies["train"], TRAIN_KEYS, "policies.train")
-    metrics = doc.get("metrics", {})
-    if "suite" in metrics:
-        _reject_unknown(metrics["suite"], SUITE_KEYS, "metrics.suite")
+    _reject_unknown(doc, SCHEMA, "")
     return doc
 
 
@@ -135,6 +115,24 @@ def _names(value) -> dict:
     return value
 
 
+def _one_of(names: tuple):
+    """A converter for one of the given names."""
+
+    def convert(value) -> str:
+        if value not in names:
+            raise ValueError(f"expected one of {names}")
+        return value
+
+    return convert
+
+
+def _paths(value) -> dict:
+    """An object mapping agent ids to Polylines (mode.paths)."""
+    if not isinstance(value, dict):
+        raise ValueError("expected an object of agent id -> [[x, y], ...]")
+    return {agent_id: Polyline(path) for agent_id, path in value.items()}
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError("expected true or false")
@@ -147,8 +145,8 @@ def _value(section: dict, where: str, key: str, default, convert=_number):
     value = section.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config key {where}.{key}: bad value {value!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {where}.{key}: bad value {value!r} ({exc})") from None
 
 
 def _floats(n: int):
@@ -163,9 +161,17 @@ def _floats(n: int):
     return convert
 
 
-def _sigmas(value) -> tuple:
-    """Two noise standard deviations, each >= 0."""
+def _non_negative_pair(value) -> tuple:
+    """Two numbers, each >= 0 (noise standard deviations)."""
     return tuple(_non_negative(v) for v in _floats(2)(value))
+
+
+def _range(value) -> tuple:
+    """A range [lo, hi] with 0 <= lo <= hi."""
+    lo, hi = _non_negative_pair(value)
+    if lo > hi:
+        raise ValueError("expected lo <= hi")
+    return lo, hi
 
 
 def _int(value) -> int:
@@ -193,20 +199,20 @@ class RunSetup:
         self.base_dir = base_dir
         sim = doc.get("sim", {})
         self.sim_config = SimConfig(
-            dt=_value(sim, "sim", "dt", 0.1),
-            horizon_steps=_value(sim, "sim", "horizon", 50, _int),
+            dt=_value(sim, "sim", "dt", 0.1, _positive),
+            horizon_steps=_value(sim, "sim", "horizon", 50, _count),
             seed=seed_override if seed_override is not None else _value(sim, "sim", "seed", 0, _int),
             interrupt_on_ego_collision=_value(sim, "sim", "interrupt_on_collision", True, _bool),
-            control_noise=_value(sim, "sim", "noise", (0.0, 0.0), _sigmas),
-            roi_radius=_value(sim, "sim", "roi_radius", 200.0),
+            control_noise=_value(sim, "sim", "noise", (0.0, 0.0), _non_negative_pair),
+            roi_radius=_value(sim, "sim", "roi_radius", 200.0, _positive),
         )
         self.mode = doc.get("mode", {})
-        self.mode_name = self.mode.get("name", "scenario")
+        self.mode_name = self.mode_value("name", "scenario", _one_of(MODES))
         self._map: Optional[SemanticMap] = None
         self._source: Optional[Episode] = None
         self._policies: dict[str, object] = {}
 
-    def mode_value(self, key: str, default, convert=float):
+    def mode_value(self, key: str, default, convert=_number):
         return _value(self.mode, "mode", key, default, convert)
 
     def _path(self, section: dict, where: str, key: str) -> Path:
@@ -260,16 +266,13 @@ class RunSetup:
     def procedural_config(self) -> ProceduralConfig:
         proc = self.mode.get("procedural", {})
         return ProceduralConfig(
-            agents_mean=_value(proc, "mode.procedural", "agents_mean", 5.0),
-            min_gap=_value(proc, "mode.procedural", "min_gap", 8.0),
-            speed_range=_value(proc, "mode.procedural", "speed_range", (0.0, 12.0), _floats(2)),
+            agents_mean=_value(proc, "mode.procedural", "agents_mean", 5.0, _non_negative),
+            min_gap=_value(proc, "mode.procedural", "min_gap", 8.0, _positive),
+            speed_range=_value(proc, "mode.procedural", "speed_range", (0.0, 12.0), _range),
         )
 
-    def forced_paths(self) -> dict[str, np.ndarray]:
-        return {
-            agent_id: np.asarray(path, dtype=float)
-            for agent_id, path in self.mode.get("paths", {}).items()
-        }
+    def forced_paths(self) -> dict[str, Polyline]:
+        return self.mode_value("paths", {}, _paths)
 
     def policy(self, name: str):
         """The policy named by a POLICY_NAMES or EGO_NAMES entry, built on
@@ -303,7 +306,7 @@ class RunSetup:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise ConfigError(f"config key policies.weights: bad model in {path}: {detail}") from None
         elif name == "brake_stop":
-            decel = _value(self.doc.get("ego", {}).get("params", {}), "ego.params", "decel", 2.5)
+            decel = _value(self.doc.get("ego", {}).get("params", {}), "ego.params", "decel", 2.5, _positive)
             policy = BrakeToStopPolicy(dt=self.sim_config.dt, decel=decel)
         else:
             raise ConfigError(f"unknown policy {name!r}")
@@ -337,11 +340,11 @@ class RunSetup:
     def train_config(self) -> TrainConfig:
         train = self.doc.get("policies", {}).get("train", {})
         return TrainConfig(
-            lr=_value(train, "policies.train", "lr", 1e-3),
-            batch=_value(train, "policies.train", "batch", 64, _int),
+            lr=_value(train, "policies.train", "lr", 1e-3, _positive),
+            batch=_value(train, "policies.train", "batch", 64, _count),
             epochs=_value(train, "policies.train", "epochs", 30, _int),
             seed=self.sim_config.seed,
-            hidden=_value(train, "policies.train", "hidden", (32, 32), lambda v: tuple(_int(n) for n in v)),
+            hidden=_value(train, "policies.train", "hidden", (32, 32), lambda v: tuple(_count(n) for n in v)),
         )
 
     def history_s(self) -> float:
@@ -364,9 +367,9 @@ class RunSetup:
     def suite_params(self) -> dict:
         suite = self.doc.get("metrics", {}).get("suite", {})
         return {
-            "n_scenes": _value(suite, "metrics.suite", "scenes", 100, _int),
-            "gap_range": _value(suite, "metrics.suite", "gap_range", (10.0, 40.0), _floats(2)),
-            "speed_range": _value(suite, "metrics.suite", "speed_range", (5.0, 12.0), _floats(2)),
+            "n_scenes": _value(suite, "metrics.suite", "scenes", 100, _count),
+            "gap_range": _value(suite, "metrics.suite", "gap_range", (10.0, 40.0), _range),
+            "speed_range": _value(suite, "metrics.suite", "speed_range", (5.0, 12.0), _range),
             "seed": self.sim_config.seed,
             "horizon_s": self.sim_config.horizon_steps * self.sim_config.dt,
         }

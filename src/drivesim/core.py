@@ -239,8 +239,52 @@ def obb_overlap(a: Obb, b: Obb) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
+class Polyline:
+    """A path of (N>=2, 2) finite points with no zero-length segment, and
+    its arclength `length`: a lane centerline or a forced path."""
+
+    points: np.ndarray
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
+            raise ValueError("must be an (N>=2, 2) point array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("has a non-finite point")
+        seg = np.diff(pts, axis=0)
+        seglen = np.hypot(seg[:, 0], seg[:, 1])
+        if np.any(seglen <= 0):
+            raise ValueError("has a zero-length segment")
+        object.__setattr__(self, "points", pts)
+        # Python floats: pose_at reads one entry at a time
+        object.__setattr__(self, "_seg", seg.tolist())
+        object.__setattr__(self, "_seglen", seglen.tolist())
+        object.__setattr__(self, "_cumlen", np.concatenate(([0.0], np.cumsum(seglen))).tolist())
+        object.__setattr__(self, "length", self._cumlen[-1])
+
+    @cached_property
+    def segments(self) -> "PolylineSegments":
+        """The segment arrays as `project_to_polyline` uses them. Its
+        lengths come from sqrt(einsum), which differs in the last bit from
+        the np.hypot lengths above in some segments."""
+        return polyline_segments(self.points)
+
+    def pose_at(self, s: float) -> Pose2:
+        """Interpolated position and tangent yaw at arclength s, clamped to
+        [0, length]."""
+        s = min(max(s, 0.0), self.length)
+        cum = self._cumlen
+        i = min(bisect_right(cum, s) - 1, len(self._seglen) - 1)
+        t = (s - cum[i]) / self._seglen[i]
+        x0, y0 = self.points[i].tolist()
+        dx, dy = self._seg[i]
+        return Pose2(x0 + t * dx, y0 + t * dy, math.atan2(dy, dx))
+
+
+@dataclass(frozen=True, eq=False)
 class Lane:
-    """A lane centerline with width, successor links, and optional light."""
+    """A lane centerline with width, successor links, and optional light;
+    `path` is the centerline's Polyline and `length` its arclength."""
 
     id: str
     centerline: np.ndarray  # (N, 2) float
@@ -249,34 +293,16 @@ class Lane:
     light_id: Optional[str] = None
 
     def __post_init__(self):
-        pts = np.asarray(self.centerline, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
-            raise ValueError(f"lane {self.id}: centerline must be an (N>=2, 2) point array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError(f"lane {self.id}: non-finite centerline point")
+        try:
+            path = Polyline(self.centerline)
+        except ValueError as exc:
+            raise ValueError(f"lane {self.id}: centerline {exc}") from None
         if not self.width > 0:
             raise ValueError(f"lane {self.id}: width must be > 0")
-        seg = np.diff(pts, axis=0)
-        seglen = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(seglen <= 0):
-            raise ValueError(f"lane {self.id}: degenerate zero-length segment")
-        object.__setattr__(self, "centerline", pts)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "length", path.length)
+        object.__setattr__(self, "centerline", path.points)
         object.__setattr__(self, "successors", tuple(self.successors))
-        # Python floats: lane_pose_at reads one entry at a time
-        object.__setattr__(self, "_seg", seg.tolist())
-        object.__setattr__(self, "_seglen", seglen.tolist())
-        object.__setattr__(self, "_cumlen", np.concatenate(([0.0], np.cumsum(seglen))).tolist())
-
-    @property
-    def length(self) -> float:
-        return self._cumlen[-1]
-
-    @cached_property
-    def segments(self) -> "PolylineSegments":
-        """The centerline's segment arrays as `project_to_polyline` uses
-        them. Its lengths come from sqrt(einsum), which differs in the last
-        bit from the np.hypot lengths above in some segments."""
-        return polyline_segments(self.centerline)
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,10 +468,10 @@ def nearest_lane(smap: SemanticMap, point):
     p = np.asarray(point, dtype=float)
     q = p.reshape(-1, 2)
     lanes = smap._lanes_in_id_order
-    dist, lateral, arclength = project_to_polyline(lanes[0].segments, q)
+    dist, lateral, arclength = project_to_polyline(lanes[0].path.segments, q)
     k = np.zeros(len(q), dtype=np.intp)
     for j in range(1, len(lanes)):
-        d, lat, arc = project_to_polyline(lanes[j].segments, q)
+        d, lat, arc = project_to_polyline(lanes[j].path.segments, q)
         nearer = d < dist  # strict: equal distances keep the lower id
         dist = np.where(nearer, d, dist)
         lateral = np.where(nearer, lat, lateral)
@@ -460,18 +486,11 @@ def nearest_lane(smap: SemanticMap, point):
 def lane_pose_at(smap: SemanticMap, lane_id: str, arclength: float) -> Pose2:
     """Pose on a lane centerline: interpolated position, tangent yaw."""
     lane = smap.lane(lane_id)
-    length = lane.length
-    if arclength < -1e-9 or arclength > length + 1e-9:
+    if arclength < -1e-9 or arclength > lane.length + 1e-9:
         raise ValueError(
-            f"arclength {arclength} outside [0, {length}] for lane {lane_id!r}"
+            f"arclength {arclength} outside [0, {lane.length}] for lane {lane_id!r}"
         )
-    s = min(max(arclength, 0.0), length)
-    cum = lane._cumlen
-    i = min(bisect_right(cum, s) - 1, len(lane._seglen) - 1)
-    t = (s - cum[i]) / lane._seglen[i]
-    x0, y0 = lane.centerline[i].tolist()
-    dx, dy = lane._seg[i]
-    return Pose2(x0 + t * dx, y0 + t * dy, math.atan2(dy, dx))
+    return lane.path.pose_at(arclength)
 
 
 def lane_chain(smap: SemanticMap, lane_id: str, max_length: float) -> list[tuple[str, float]]:

@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     AgentState,
     Episode,
+    Polyline,
     Pose2,
     SemanticMap,
     SimState,
@@ -31,6 +32,8 @@ from .kinematics import Control, advance
 from .policies import policy_act
 
 log = logging.getLogger(__name__)
+
+MODES = ("full", "journey", "scenario", "behaviour")
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,7 @@ def run_mode(
     dataset: Optional[Sequence[Episode]] = None,
     proc_cfg=None,
     anchor_radius: float = math.inf,
-    forced_paths: Optional[Mapping[str, np.ndarray]] = None,
+    forced_paths: Optional[Mapping[str, Polyline]] = None,
 ) -> Episode:
     """Generate one episode in one of the four configurations.
 
@@ -234,7 +237,7 @@ def run_mode(
     """
     from .policies import PathOverridePolicy
 
-    if mode not in ("full", "journey", "scenario", "behaviour"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
 
     if mode in ("full", "journey"):

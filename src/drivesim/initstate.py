@@ -24,19 +24,19 @@ from .core import (
 from .raster import Grid, extract_from_channel
 
 DEFAULT_VEHICLE_EXTENT = (4.5, 2.0)
+MAX_ATTEMPTS = 100  # placement tries per procedural agent
+RASTER_SPEED = 5.0  # m/s of every agent read from a grid: an image carries no velocity
 
 
 @dataclass(frozen=True)
 class ProceduralConfig:
     """Knobs for lane-graph state synthesis. Candidate agents violating
     min_gap (same-lane bumper gap) or physically overlapping anything are
-    rejected, up to max_attempts tries each."""
+    rejected, up to MAX_ATTEMPTS tries each."""
 
     agents_mean: float = 5.0
     min_gap: float = 8.0
     speed_range: tuple[float, float] = (0.0, 12.0)
-    max_attempts: int = 100
-    extent: tuple[float, float] = DEFAULT_VEHICLE_EXTENT
 
     def __post_init__(self):
         if not self.min_gap > 0:
@@ -141,7 +141,7 @@ def sample_state_procedural(
     ego = AgentState(
         id="ego",
         pose=location,
-        extent=cfg.extent,
+        extent=DEFAULT_VEHICLE_EXTENT,
         speed=float(rng.uniform(*cfg.speed_range)),
         kind="vehicle",
     )
@@ -150,13 +150,13 @@ def sample_state_procedural(
     n = int(rng.poisson(cfg.agents_mean))
     agents = [ego]
     for i in range(n):
-        for _ in range(cfg.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             lane_id, s = _draw_lane_position(smap, rng)
             pose = lane_pose_at(smap, lane_id, s)
             candidate = AgentState(
                 id=f"agent_{i + 1}",
                 pose=pose,
-                extent=cfg.extent,
+                extent=DEFAULT_VEHICLE_EXTENT,
                 speed=float(rng.uniform(*cfg.speed_range)),
                 kind="vehicle",
             )
@@ -167,29 +167,26 @@ def sample_state_procedural(
     return SimState(step_index=0, agents=tuple(agents), ego_id="ego")
 
 
-def state_from_raster(
-    grid: Grid, default_speed: float = 5.0, min_pixels: int = 3
-) -> SimState:
+def state_from_raster(grid: Grid) -> SimState:
     """Vectorize a rendered grid back into a state.
 
     The ego channel must hold exactly one blob. Extracted agents get the
-    blob's box pose and extent and a configured speed (a static image
-    carries no velocity)."""
-    ego_blobs = extract_from_channel(grid, "ego", min_pixels=min_pixels)
+    blob's box pose and extent and RASTER_SPEED."""
+    ego_blobs = extract_from_channel(grid, "ego")
     if len(ego_blobs) != 1:
         raise ValueError(f"expected exactly 1 ego component, found {len(ego_blobs)}")
-    agents = [_agent_from_blob(ego_blobs[0], "ego", default_speed)]
-    for i, blob in enumerate(extract_from_channel(grid, "agents", min_pixels=min_pixels)):
-        agents.append(_agent_from_blob(blob, f"agent_{i + 1}", default_speed))
+    agents = [_agent_from_blob(ego_blobs[0], "ego")]
+    for i, blob in enumerate(extract_from_channel(grid, "agents")):
+        agents.append(_agent_from_blob(blob, f"agent_{i + 1}"))
     return SimState(step_index=0, agents=tuple(agents), ego_id="ego")
 
 
-def _agent_from_blob(blob, agent_id: str, speed: float) -> AgentState:
+def _agent_from_blob(blob, agent_id: str) -> AgentState:
     box = blob.bbox
     return AgentState(
         id=agent_id,
         pose=Pose2(box.center[0], box.center[1], box.yaw),
         extent=(2.0 * box.half_extents[0], 2.0 * box.half_extents[1]),
-        speed=speed,
+        speed=RASTER_SPEED,
         kind="vehicle",
     )

@@ -39,17 +39,15 @@ def advance(agent: AgentState, control: Control, dt: float) -> AgentState:
     return replace(agent, pose=pose, speed=control.v)
 
 
-def fit_controls(
-    frm: Pose2, to: Pose2, dt: float, phi_max: float = DEFAULT_PHI_MAX
-) -> Control:
+def fit_controls(frm: Pose2, to: Pose2, dt: float) -> Control:
     """Recover the control that maps `frm` to `to` in one step.
 
     Exact inverse of `advance` on its reachable set (displacement aligned
-    with to.yaw); lossy otherwise. The yaw rate is clamped to +-phi_max.
+    with to.yaw); lossy otherwise. The yaw rate is clamped to +-DEFAULT_PHI_MAX.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     phi = normalize_angle(to.yaw - frm.yaw) / dt
-    phi = min(max(phi, -phi_max), phi_max)
+    phi = min(max(phi, -DEFAULT_PHI_MAX), DEFAULT_PHI_MAX)
     v = math.hypot(to.x - frm.x, to.y - frm.y) / dt
     return Control(phi, v)

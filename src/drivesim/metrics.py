@@ -24,7 +24,11 @@ from .core import (
     project_to_polyline,
 )
 from .engine import SimConfig, assign_policies, ego_collides, stream_rng, unroll
+from .initstate import DEFAULT_VEHICLE_EXTENT
 from .policies import ConstantVelocityPolicy, LogReplayPolicy
+
+FOLLOWER_ARC = 5.0  # m, lane arclength of a static-lead follower's rear bumper
+REACH_MARGIN = 2.0  # m, how far short of the lead a non-braking follower may end
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +157,9 @@ class ReactivityReport:
         ]
 
 
-def make_static_lead_scene(
-    gap: float,
-    follower_speed: float,
-    smap: SemanticMap,
-    lane_id: Optional[str] = None,
-    follower_arc: float = 5.0,
-    extent: tuple[float, float] = (4.5, 2.0),
-) -> SimState:
-    """A stopped car ahead of a moving one on a straight lane.
+def make_static_lead_scene(gap: float, follower_speed: float, smap: SemanticMap) -> SimState:
+    """A stopped car ahead of a moving one on the longest lane (on a tie,
+    the greatest id).
 
     The lead is the ego (the blockage whose contact interrupts the run);
     the follower is the policy-controlled subject. gap is bumper to
@@ -170,19 +168,18 @@ def make_static_lead_scene(
         raise ValueError(f"gap must be > 0, got {gap}")
     if follower_speed < 0:
         raise ValueError(f"follower speed must be >= 0, got {follower_speed}")
-    if lane_id is None:
-        lane_id = max(smap.lanes, key=lambda l: (l.length, l.id)).id
-    lane = smap.lane(lane_id)
-    follower_center = follower_arc + extent[0] / 2.0
+    lane = max(smap.lanes, key=lambda l: (l.length, l.id))
+    extent = DEFAULT_VEHICLE_EXTENT
+    follower_center = FOLLOWER_ARC + extent[0] / 2.0
     lead_center = follower_center + extent[0] + gap
     if lead_center + extent[0] / 2.0 + 1.0 > lane.length:
-        raise ValueError(f"lane {lane_id!r} too short for gap {gap}")
+        raise ValueError(f"lane {lane.id!r} too short for gap {gap}")
     lead = AgentState(
-        id="lead", pose=lane_pose_at(smap, lane_id, lead_center), extent=extent, speed=0.0
+        id="lead", pose=lane_pose_at(smap, lane.id, lead_center), extent=extent, speed=0.0
     )
     follower = AgentState(
         id="follower",
-        pose=lane_pose_at(smap, lane_id, follower_center),
+        pose=lane_pose_at(smap, lane.id, follower_center),
         extent=extent,
         speed=follower_speed,
     )
@@ -196,14 +193,13 @@ def static_lead_suite(
     speed_range: tuple[float, float] = (5.0, 12.0),
     seed: int = 0,
     horizon_s: float = 5.0,
-    reach_margin: float = 2.0,
 ) -> list[SimState]:
     """Seeded randomized scenes. Draws are rejected until the lead is
     reachable without braking (gap + margin <= speed * horizon), so a
     non-reactive follower is guaranteed to hit it."""
-    if min(gap_range) + reach_margin > max(speed_range) * horizon_s:
+    if min(gap_range) + REACH_MARGIN > max(speed_range) * horizon_s:
         raise ValueError(
-            f"no static-lead scene is reachable: gap {min(gap_range)} + margin {reach_margin} m "
+            f"no static-lead scene is reachable: gap {min(gap_range)} + margin {REACH_MARGIN} m "
             f"> speed {max(speed_range)} m/s * horizon {horizon_s} s"
         )
     rng = stream_rng(seed, "static-lead-suite")
@@ -211,7 +207,7 @@ def static_lead_suite(
     while len(scenes) < n_scenes:
         gap = float(rng.uniform(*gap_range))
         speed = float(rng.uniform(*speed_range))
-        if gap + reach_margin > speed * horizon_s:
+        if gap + REACH_MARGIN > speed * horizon_s:
             continue
         scenes.append(make_static_lead_scene(gap, speed, smap))
     return scenes

@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     AgentState,
     Episode,
+    Polyline,
     Pose2,
     SemanticMap,
     SimState,
@@ -29,13 +30,16 @@ from .core import (
     lane_pose_at,
     nearest_lane,
     normalize_angle,
-    polyline_segments,
     project_to_polyline,
 )
 from .kinematics import DEFAULT_PHI_MAX, Control, fit_controls
 
 GAP_CAP = 100.0  # m, free-road gap when no leader is found
 DEFAULT_V_MAX = 15.0  # m/s, learned-policy speed ceiling
+# Steering aims at the path point max(MIN_LOOKAHEAD, speed * LOOKAHEAD_TIME) ahead
+LOOKAHEAD_TIME = 1.0  # s
+MIN_LOOKAHEAD = 3.0  # m
+CURVATURE_DS = 5.0  # m ahead at which the curvature feature reads the tangent
 
 
 @dataclass(frozen=True)
@@ -95,9 +99,7 @@ class BrakeToStopPolicy:
         return PolicyDecision(Control(0.0, max(0.0, v - self.decel * self.dt)))
 
 
-def pure_pursuit_rate(
-    pose: Pose2, speed: float, target: Sequence[float], phi_max: float = DEFAULT_PHI_MAX
-) -> float:
+def pure_pursuit_rate(pose: Pose2, speed: float, target: Sequence[float]) -> float:
     """Yaw rate steering the pose toward a lookahead point."""
     dx = target[0] - pose.x
     dy = target[1] - pose.y
@@ -108,7 +110,7 @@ def pure_pursuit_rate(
     if dist2 < 1e-12:
         return 0.0
     curvature = 2.0 * ly / dist2  # = 2 sin(alpha) / L
-    return min(max(speed * curvature, -phi_max), phi_max)
+    return min(max(speed * curvature, -DEFAULT_PHI_MAX), DEFAULT_PHI_MAX)
 
 
 class LaneContext:
@@ -206,10 +208,6 @@ class ReactiveFollowPolicy:
     s0: float = 2.0
     t_headway: float = 1.5
     v0: float = 10.0
-    phi_max: float = DEFAULT_PHI_MAX
-    lookahead_time: float = 1.0
-    min_lookahead: float = 3.0
-    gap_cap: float = GAP_CAP
 
     def acceleration(self, v: float, gap: float, lead_speed: Optional[float]) -> float:
         dv = v - lead_speed if lead_speed is not None else 0.0
@@ -224,59 +222,35 @@ class ReactiveFollowPolicy:
             lane_id, s_me, _ = agent_lane_projections(state, smap).projections[agent_id]
         except ValueError:
             return PolicyDecision(Control(0.0, v))  # off-map: keep rolling
-        gap, lead = lead_gap(state, agent_id, smap, self.gap_cap)
+        gap, lead = lead_gap(state, agent_id, smap)
         a = self.acceleration(v, gap, lead.speed if lead is not None else None)
         v_cmd = min(max(v + a * self.dt, 0.0), self.v0)
         target_lane, target_s = advance_along_lanes(
-            smap, lane_id, s_me, max(self.min_lookahead, v * self.lookahead_time)
+            smap, lane_id, s_me, max(MIN_LOOKAHEAD, v * LOOKAHEAD_TIME)
         )
         target = lane_pose_at(smap, target_lane, target_s)
-        phi = pure_pursuit_rate(me.pose, v_cmd, (target.x, target.y), self.phi_max)
+        phi = pure_pursuit_rate(me.pose, v_cmd, (target.x, target.y))
         return PolicyDecision(Control(phi, v_cmd))
 
 
 class PathOverridePolicy:
-    """Force steering along a fixed path; speed still comes from the
-    wrapped policy, so the agent remains longitudinally reactive."""
+    """Force steering along a fixed path (a Polyline, or its points);
+    speed still comes from the wrapped policy, so the agent remains
+    longitudinally reactive."""
 
-    def __init__(
-        self,
-        inner,
-        path: np.ndarray,
-        phi_max: float = DEFAULT_PHI_MAX,
-        lookahead_time: float = 1.0,
-        min_lookahead: float = 3.0,
-    ):
-        path = np.asarray(path, dtype=float)
-        if path.ndim != 2 or path.shape[0] < 2 or path.shape[1] != 2:
-            raise ValueError("path must be an (N>=2, 2) polyline")
+    def __init__(self, inner, path):
         self.inner = inner
-        self.path = path
-        self.phi_max = phi_max
-        self.lookahead_time = lookahead_time
-        self.min_lookahead = min_lookahead
-        seg = np.diff(path, axis=0)
-        self._seglen = np.hypot(seg[:, 0], seg[:, 1])
-        self._cumlen = np.concatenate(([0.0], np.cumsum(self._seglen)))
-        self._seg = seg
-        self._segments = polyline_segments(path)
-
-    def _point_at(self, s: float) -> np.ndarray:
-        s = min(max(s, 0.0), float(self._cumlen[-1]))
-        i = min(int(np.searchsorted(self._cumlen, s, side="right")) - 1, len(self._seg) - 1)
-        t = (s - self._cumlen[i]) / self._seglen[i]
-        return self.path[i] + t * self._seg[i]
+        self.path = path if isinstance(path, Polyline) else Polyline(path)
 
     def act(self, agent_id, state, smap) -> PolicyDecision:
         inner_decision = policy_act(self.inner, agent_id, state, smap)
         v = inner_decision.control.v
         me = state.agent(agent_id)
-        _, _, s = project_to_polyline(self._segments, me.center)
-        length = float(self._cumlen[-1])
-        if s >= length - 1e-9:
+        _, _, s = project_to_polyline(self.path.segments, me.center)
+        if s >= self.path.length - 1e-9:
             return PolicyDecision(Control(0.0, v))  # past the end: hold heading
-        target = self._point_at(s + max(self.min_lookahead, me.speed * self.lookahead_time))
-        phi = pure_pursuit_rate(me.pose, v, target, self.phi_max)
+        target = self.path.pose_at(s + max(MIN_LOOKAHEAD, me.speed * LOOKAHEAD_TIME))
+        phi = pure_pursuit_rate(me.pose, v, (target.x, target.y))
         return PolicyDecision(Control(phi, v))
 
 
@@ -308,9 +282,6 @@ class FeatureExtractor:
     """
 
     dt: float = 0.1
-    gap_cap: float = GAP_CAP
-    red_cap: float = GAP_CAP
-    curvature_ds: float = 5.0
 
     def features(self, state: SimState, agent_id: str, smap: SemanticMap) -> np.ndarray:
         me = state.agent(agent_id)
@@ -320,17 +291,17 @@ class FeatureExtractor:
         try:
             lane_id, s, lateral = agent_lane_projections(state, smap).projections[agent_id]
         except ValueError:
-            f[1] = self.gap_cap
-            f[6] = self.red_cap
+            f[1] = GAP_CAP
+            f[6] = GAP_CAP
             return f
-        gap, lead = lead_gap(state, agent_id, smap, self.gap_cap)
+        gap, lead = lead_gap(state, agent_id, smap)
         f[1] = gap
         f[2] = (lead.speed - me.speed) if lead is not None else 0.0
         f[3] = lateral
         tangent = lane_pose_at(smap, lane_id, s).yaw
         f[4] = normalize_angle(me.pose.yaw - tangent)
         lane_len = smap.lane(lane_id).length
-        ds = min(self.curvature_ds, lane_len - s)
+        ds = min(CURVATURE_DS, lane_len - s)
         if ds > 1e-6:
             ahead = lane_pose_at(smap, lane_id, s + ds).yaw
             f[5] = normalize_angle(ahead - tangent) / ds
@@ -340,10 +311,10 @@ class FeatureExtractor:
     def _red_light_distance(self, smap: SemanticMap, lane_id: str, s: float, t: float) -> float:
         if smap.lane_red_at(lane_id, t):
             return 0.0  # already past the stop line
-        for chain_lane, offset in lane_chain(smap, lane_id, self.red_cap + s)[1:]:
+        for chain_lane, offset in lane_chain(smap, lane_id, GAP_CAP + s)[1:]:
             if smap.lane_red_at(chain_lane, t):
-                return min(max(offset - s, 0.0), self.red_cap)
-        return self.red_cap
+                return min(max(offset - s, 0.0), GAP_CAP)
+        return GAP_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +348,14 @@ class Mlp:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
 
 
-def init_mlp(
-    layer_sizes: Sequence[int] = (N_FEATURES, 32, 32, 2),
-    seed: int = 0,
-    phi_max: float = DEFAULT_PHI_MAX,
-    v_max: float = DEFAULT_V_MAX,
-) -> Mlp:
+def init_mlp(layer_sizes: Sequence[int] = (N_FEATURES, 32, 32, 2), seed: int = 0) -> Mlp:
     """Seeded init: weights ~ N(0, 1/fan_in), zero biases."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
         weights.append(rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return Mlp(weights, biases, phi_max=phi_max, v_max=v_max)
+    return Mlp(weights, biases)
 
 
 def _forward_raw(m: Mlp, x: np.ndarray) -> np.ndarray:
@@ -459,8 +425,6 @@ class TrainConfig:
     epochs: int = 30
     seed: int = 0
     hidden: tuple[int, ...] = (32, 32)
-    phi_max: float = DEFAULT_PHI_MAX
-    v_max: float = DEFAULT_V_MAX
 
 
 def mlp_train(
@@ -476,9 +440,9 @@ def mlp_train(
     if not dataset:
         raise ValueError("empty training dataset")
     x = np.asarray([f for f, _ in dataset], dtype=float)
-    targets = controls_to_targets([c for _, c in dataset], config.phi_max, config.v_max)
+    targets = controls_to_targets([c for _, c in dataset], DEFAULT_PHI_MAX, DEFAULT_V_MAX)
     sizes = (x.shape[1],) + tuple(config.hidden) + (2,)
-    m = init_mlp(sizes, seed=config.seed, phi_max=config.phi_max, v_max=config.v_max)
+    m = init_mlp(sizes, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     n = len(x)
     for epoch in range(config.epochs):
@@ -498,7 +462,6 @@ def build_bc_dataset(
     episodes: Sequence[Episode],
     smap: SemanticMap,
     history_s: float = 1.0,
-    extractor: Optional[FeatureExtractor] = None,
 ) -> list[tuple[np.ndarray, Control]]:
     """Extract (features, control) pairs from recorded episodes.
 
@@ -512,8 +475,7 @@ def build_bc_dataset(
     for ep in episodes:
         if abs(ep.dt - dt) > 1e-12:
             raise ValueError("episodes must share dt")
-    if extractor is None:
-        extractor = FeatureExtractor(dt=dt)
+    extractor = FeatureExtractor(dt=dt)
     min_run = math.ceil(history_s / dt - 1e-9) + 1
     samples: list[tuple[np.ndarray, Control]] = []
     for ep in episodes:

@@ -18,6 +18,7 @@ CHANNEL_NAMES = ("lanes", "crosswalks", "ego", "agents")
 
 DEFAULT_RESOLUTION = 0.5  # m / pixel
 DEFAULT_SIZE_PX = 64
+MIN_BLOB_PIXELS = 3  # smaller components are noise, not agents
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +265,9 @@ def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return best[1], best[2], best[3]
 
 
-def extract_from_channel(grid: Grid, channel: str, min_pixels: int = 3) -> list[ExtractedAgent]:
-    """Vectorize one channel: connected components -> centroid + min box.
+def extract_from_channel(grid: Grid, channel: str) -> list[ExtractedAgent]:
+    """Vectorize one channel: connected components of at least
+    MIN_BLOB_PIXELS pixels -> centroid + min box.
 
     Boxes are expanded half a pixel per side so a rendered rectangle
     recovers its footprint; the longer box side defines the yaw, folded to
@@ -273,7 +275,7 @@ def extract_from_channel(grid: Grid, channel: str, min_pixels: int = 3) -> list[
     """
     out = []
     for comp in connected_components(grid.channels[channel]):
-        if len(comp) < min_pixels:
+        if len(comp) < MIN_BLOB_PIXELS:
             continue
         world = grid.pixels_to_world(comp[:, 0], comp[:, 1])
         centroid = world.mean(axis=0)

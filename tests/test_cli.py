@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -245,6 +246,35 @@ class TestSimulateCommand:
             # a flag is a JSON boolean, not anything bool() accepts
             ("sim", "interrupt_on_collision", "no"),
             ("sim", "interrupt_on_collision", 0),
+            # a forced path is >= 2 finite [x, y] points, no zero-length segment
+            ("mode", "paths", [1, 2]),
+            ("mode", "paths", {"a": "abc"}),
+            ("mode", "paths", {"a": [[0, 0], [60, 0], [60, 0]]}),
+            ("mode", "paths", {"a": [[0, 0], [float("nan"), 0]]}),
+            ("mode", "paths", {"a": [[0, 0]]}),
+            # ego.params has its keys checked like every other section
+            ("ego", "params.decle", 9),
+            ("ego", "params", [2.5]),
+            ("ego", "params.decel", -1),
+            ("ego", "params.decel", 0),
+            # one of the four modes
+            ("mode", "name", "bogus"),
+            # ranges: zero or negative where a value must be positive, a
+            # reversed or negative speed range
+            ("sim", "dt", 0),
+            ("sim", "horizon", 0),
+            ("sim", "roi_radius", -1),
+            ("mode", "procedural.min_gap", 0),
+            ("mode", "procedural.speed_range", [5, 1]),
+            ("mode", "procedural.speed_range", [-1, 2]),
+            ("mode", "procedural.agents_mean", -1),
+            ("mode", "anchor_radius", True),
+            ("policies", "train.lr", -1e-3),
+            ("policies", "train.batch", 0),
+            ("policies", "train.hidden", [0]),
+            ("metrics", "suite.scenes", 0),
+            ("metrics", "suite.gap_range", [40, 10]),
+            ("metrics", "suite.speed_range", [-5, 12]),
         ],
     )
     def test_config_type_error_exit_1_names_key(self, workspace, capsys, section, key, value):
@@ -254,6 +284,10 @@ class TestSimulateCommand:
         }
         if key in ("source_frame", "source_log"):  # read only in scenario mode
             doc["mode"] = {"name": "scenario", "map": "map.json", "source_log": "source.jsonl"}
+        if key == "paths":  # the mode that steers agents along them
+            doc["mode"] = {"name": "behaviour", "map": "map.json", "source_log": "source.jsonl"}
+        if section == "ego":  # the controller that reads ego.params
+            doc["ego"] = {"controller": "brake_stop"}
         *parents, leaf = key.split(".")
         node = doc.setdefault(section, {})
         for name in parents:
@@ -560,6 +594,14 @@ class TestSampleStateCommand:
         assert len(ep.states) == 1
         assert ep.states[0].ego.pose.x == pytest.approx(100.0)
 
+    def test_unknown_mode_exit_1(self, workspace, capsys):
+        doc = {"sim": {"dt": 0.1, "seed": 6}, "mode": {"name": "bogus", "map": "map.json", "location": [100.0, 0.0, 0.0]}}
+        cfg_path = write_config(workspace / "sample.json", doc)
+        out = workspace / "state.jsonl"
+        assert main(["sample-state", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "mode.name" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usable_as_scenario_source(self, workspace):
         doc = {
             "sim": {"dt": 0.1, "seed": 6},
@@ -595,3 +637,42 @@ def test_cli_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _key_tree(block: str) -> dict:
+    """The nested keys of a JSON-with-comments block whose values may be
+    placeholders such as [x, y, yaw]: a key maps to None, or to the tree of
+    the object it opens."""
+    text = re.sub(r"//[^\n]*", "", block)
+    root: dict = {}
+    stack, key = [root], None
+    for token in re.finditer(r'"([^"]*)"\s*:|[{}]', text):
+        if token.group(1) is not None:
+            key = token.group(1)
+            stack[-1][key] = None
+        elif token.group(0) == "}":
+            stack.pop()
+        elif key is not None:  # the "{" that opens the value of key
+            stack[-1][key] = {}
+            stack.append(stack[-1][key])
+            key = None
+    return root
+
+
+def _prune(tree: dict, schema: dict) -> dict:
+    """tree without what lies below the schema's plain keys: an object
+    there (mode.paths) is a value, not a section."""
+    return {
+        k: _prune(v, schema[k]) if isinstance(v, dict) and isinstance(schema.get(k), dict) else None
+        for k, v in tree.items()
+    }
+
+
+def test_readme_config_block_names_the_schema():
+    # the README documents exactly the keys that load_run_config accepts
+    from drivesim.cli.config import SCHEMA
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```jsonc\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    assert _prune(_key_tree(blocks[0]), SCHEMA) == SCHEMA

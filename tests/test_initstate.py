@@ -154,7 +154,7 @@ class TestStateFromRaster:
         others = (car("x", -14.0, y=2.0, yaw=0.4), car("y", 0.0, y=-8.0, yaw=-1.0), car("z", 13.0, y=6.0))
         state = SimState(0, (ego, *others), "ego")
         grid = render(state, straight_map, center=Pose2(0, 0, 0), resolution=0.5, size_px=96)
-        out = state_from_raster(grid, default_speed=5.0)
+        out = state_from_raster(grid)
         assert out.ego_id == "ego"
         assert len(out.agents) == 4
         got = sorted((a.center for a in out.agents if a.id != "ego"), key=lambda p: p[0])
