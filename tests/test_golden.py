@@ -4,7 +4,10 @@ The runs together cover all four modes; the constant, reactive_follow,
 log_replay and mlp policies, and mlp agents mixed with a reactive override
 over two episodes; all four ego controllers; control noise on and off;
 --jobs 1 and 2; sample-state; eval reactivity with a log-replay subject and
-with a tuned reactive_follow subject; and eval planner.
+with a tuned reactive_follow subject; eval planner; and, with the config
+keys left out, eval realism at the default horizons and train at the
+default training settings, so a default that changes value or type (a
+horizon of 1 written for 1.0) moves a digest here.
 A refactor must leave every digest unchanged. A change that moves one is
 a behaviour change and has to say why.
 
@@ -154,6 +157,19 @@ CONFIGS = dict(
             },
             metrics={"suite": {"scenes": 6, "gap_range": [10, 30], "speed_range": [6, 12]}},
         ),
+        # 5 s episodes, as long as the longest default realism horizon; the
+        # noise and the policy tell the two apart
+        _config(
+            "journey_5s",
+            sim={"horizon": 50, "interrupt_on_collision": False},
+            mode={"name": "journey", "location": [60.0, 0.0, 0.0], "procedural": PROCEDURAL},
+        ),
+        _config(
+            "journey_5s_reactive",
+            sim={"horizon": 50, "interrupt_on_collision": False, "noise": NOISE},
+            mode={"name": "journey", "location": [60.0, 0.0, 0.0], "procedural": PROCEDURAL},
+            policies={"default": "reactive_follow"},
+        ),
     ]
 )
 
@@ -196,6 +212,19 @@ RUNS = (
         ["--episodes", "@crash_brake", "--references", "@crash_reference"],
         False,
     ),
+    # no metrics.horizons and no policies.train: the last two runs pin the
+    # default realism horizons and the TrainConfig and history_s defaults;
+    # the two before them are the realism inputs, not pinned themselves
+    ("journey_5s", "simulate", "journey_5s", [], False),
+    ("journey_5s_reactive", "simulate", "journey_5s_reactive", [], False),
+    (
+        "eval_realism_default_horizons",
+        "eval realism",
+        "journey_5s",
+        ["--sim", "@journey_5s_reactive", "--gt", "@journey_5s"],
+        False,
+    ),
+    ("train_defaults", "train", "full_reactive", ["--dataset", "@full_reactive_jobs1"], False),
 )
 
 GOLDEN = {
@@ -216,6 +245,8 @@ GOLDEN = {
     "eval_reactivity_reactive_follow": "de76b5a0726eedfdf99ab6ffef27edc24bf3e62e0839099bcdf9c57b7af6c530",
     "eval_planner": "27d808848a544d123a393008d9c5a552accbee54efef705d72ac1143005d4f28",
     "eval_planner_crash": "a625d57de507416504cee07b8138736266b2726263974604c59468788cb2719c",
+    "eval_realism_default_horizons": "547fdacc13836991936b87529223e54e38b171e78ebb7de2fadddb11e340f1c4",
+    "train_defaults": "8b7c653b7c477ea63d64980f477fcb04da064025f305053b8b119b0e349c5c35",
 }
 
 
