@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .. import metrics
-from ..core import Episode
+from ..core import Episode, FormatError
 from ..engine import run_mode, sample_initial_state
 from ..policies import LogReplayPolicy, build_bc_dataset, mlp_loss, mlp_train, save_mlp, controls_to_targets
 from .config import ConfigError, RunSetup, load_run_config
@@ -88,12 +88,9 @@ def cmd_simulate(args) -> int:
     inputs = dict(
         smap=setup.smap,
         make_policies=setup.policies_factory(),
-        location=setup.location(),
         s1=setup.initial_state(),
-        dataset=setup.dataset(),
-        proc_cfg=setup.procedural_config(),
-        anchor_radius=setup.mode_value("anchor_radius", 1e9),
-        forced_paths=setup.forced_paths() or None,
+        forced_paths=setup.forced_paths(),
+        **setup.sampler_inputs(),
     )
     cfg = setup.sim_config
     episodes = [
@@ -114,11 +111,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     setup = _setup(args)
-    cfg = setup.train_config()
+    cfg, dataset_args = setup.training()
     episodes = read_episode_dir(args.dataset)
     if not episodes:
         raise ValueError(f"no episode logs under {args.dataset}")
-    dataset = build_bc_dataset(episodes, setup.smap, history_s=setup.history_s())
+    dataset = build_bc_dataset(episodes, setup.smap, **dataset_args)
     if not dataset:
         raise ValueError("dataset produced no training samples (histories too short?)")
     model = mlp_train(dataset, cfg)
@@ -195,15 +192,7 @@ def cmd_render(args) -> int:
 def cmd_sample_state(args) -> int:
     setup = _setup(args)
     cfg = setup.sim_config
-    location, state = sample_initial_state(
-        setup.mode_name,
-        setup.smap,
-        cfg,
-        location=setup.location(),
-        dataset=setup.dataset(),
-        proc_cfg=setup.procedural_config(),
-        anchor_radius=setup.mode_value("anchor_radius", 1e9),
-    )
+    location, state = sample_initial_state(setup.mode_name, setup.smap, cfg, **setup.sampler_inputs())
     episode = Episode(dt=cfg.dt, map_id=setup.smap.map_id, states=(state,), termination="external")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_episode_log(episode, args.out)
@@ -225,7 +214,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_UsageError, ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (_UsageError, ConfigError, FormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -1,5 +1,7 @@
 """Run configuration: a strict JSON document with sim / mode / policies /
-ego / metrics sections. Unknown keys are rejected by name."""
+ego / metrics sections. SCHEMA declares each key once, with its converter;
+a RunSetup checks the whole document, so an unknown key or a bad value is
+rejected by name whatever the command."""
 from __future__ import annotations
 
 import json
@@ -7,7 +9,7 @@ import math
 from pathlib import Path
 from typing import Optional
 
-from ..core import Episode, Polyline, Pose2, SemanticMap, SimState, load_map
+from ..core import Episode, Polyline, Pose2, SemanticMap, SimState, error_detail, load_map
 from ..engine import MODES, SimConfig
 from ..initstate import ProceduralConfig
 from ..metrics import PlannerThresholds
@@ -27,44 +29,8 @@ class ConfigError(Exception):
     """Malformed run configuration (reported as a usage error, exit 1)."""
 
 
-def _keys(*names, **sections) -> dict:
-    """One level of the schema: a plain key maps to None, a nested section
-    to its own level."""
-    return {**dict.fromkeys(names), **sections}
-
-
-SCHEMA = _keys(
-    sim=_keys("dt", "horizon", "seed", "noise", "roi_radius", "interrupt_on_collision"),
-    mode=_keys(
-        "name", "map", "episodes", "location", "source_log", "source_frame", "dataset_dir",
-        "anchor_radius", "paths", procedural=_keys("agents_mean", "min_gap", "speed_range"),
-    ),
-    policies=_keys(
-        "default", "overrides", "weights",
-        reactive=_keys("a_max", "b", "s0", "t_headway", "v0"),
-        train=_keys("lr", "batch", "epochs", "hidden", "history_s"),
-    ),
-    ego=_keys("controller", params=_keys("decel")),
-    metrics=_keys(
-        "horizons", "d_thresh", "window_s", "kappa", "g_free", "l_thresh",
-        suite=_keys("scenes", "gap_range", "speed_range"),
-    ),
-)
 POLICY_NAMES = ("constant", "reactive_follow", "log_replay", "mlp")
 EGO_NAMES = ("constant", "log_replay", "reactive_follow", "brake_stop")
-
-
-def _reject_unknown(obj: dict, schema: dict, where: str) -> None:
-    """Every key of obj is in its schema level, and every nested section is
-    an object whose keys are in turn."""
-    for key, value in obj.items():
-        name = f"{where}.{key}" if where else key
-        if key not in schema:
-            raise ConfigError(f"unknown config key: {name}")
-        if schema[key] is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {name!r} must be an object")
-            _reject_unknown(value, schema[key], name)
 
 
 def load_run_config(path: str | Path) -> dict:
@@ -74,7 +40,6 @@ def load_run_config(path: str | Path) -> dict:
         raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    _reject_unknown(doc, SCHEMA, "")
     return doc
 
 
@@ -108,22 +73,25 @@ def _text(value) -> str:
     return value
 
 
-def _names(value) -> dict:
-    """An object whose values are names (policies.overrides)."""
-    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
-        raise ValueError("expected an object of names")
-    return value
-
-
-def _one_of(names: tuple):
+def _one_of(names: tuple, what: str):
     """A converter for one of the given names."""
 
     def convert(value) -> str:
         if value not in names:
-            raise ValueError(f"expected one of {names}")
+            raise ValueError(f"unknown {what} {value!r}; expected one of {', '.join(names)}")
         return value
 
     return convert
+
+
+_policy = _one_of(POLICY_NAMES, "policy")
+
+
+def _overrides(value) -> dict:
+    """An object mapping agent ids to policy names (policies.overrides)."""
+    if not isinstance(value, dict):
+        raise ValueError("expected an object of agent id -> policy name")
+    return {agent_id: _policy(name) for agent_id, name in value.items()}
 
 
 def _paths(value) -> dict:
@@ -137,16 +105,6 @@ def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError("expected true or false")
     return value
-
-
-def _value(section: dict, where: str, key: str, default, convert=_number):
-    """section[key], or default, through convert; a ConfigError naming the
-    key when the value does not convert."""
-    value = section.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {where}.{key}: bad value {value!r} ({exc})") from None
 
 
 def _floats(n: int):
@@ -188,6 +146,78 @@ def _count(value) -> int:
     return n
 
 
+def _horizons(value) -> list:
+    """A non-empty list of numbers > 0 (metrics.horizons, seconds)."""
+    out = [_positive(h) for h in value]
+    if not out:
+        raise ValueError("expected at least one horizon")
+    return out
+
+
+# Every key of the run config, with the converter that checks its value; a
+# nested dict is a section. A key left out takes the default of the field
+# it fills, or RunSetup's default where it fills none.
+SCHEMA = {
+    "sim": {
+        "dt": _positive, "horizon": _count, "seed": _int, "noise": _non_negative_pair,
+        "roi_radius": _positive, "interrupt_on_collision": _bool,
+    },
+    "mode": {
+        "name": _one_of(MODES, "mode"), "map": _text, "episodes": _count,
+        "location": lambda v: Pose2(*_floats(3)(v)), "source_log": _text, "source_frame": _int,
+        "dataset_dir": _text, "anchor_radius": _non_negative, "paths": _paths,
+        "procedural": {"agents_mean": _non_negative, "min_gap": _positive, "speed_range": _range},
+    },
+    "policies": {
+        "default": _policy, "overrides": _overrides, "weights": _text,
+        "reactive": {
+            "a_max": _positive, "b": _positive, "s0": _non_negative, "t_headway": _non_negative, "v0": _positive,
+        },
+        "train": {
+            "lr": _positive, "batch": _count, "epochs": _count, "hidden": lambda v: tuple(_count(n) for n in v),
+            "history_s": _non_negative,
+        },
+    },
+    "ego": {"controller": _one_of(EGO_NAMES, "ego controller"), "params": {"decel": _positive}},
+    "metrics": {
+        "horizons": _horizons, "d_thresh": _non_negative, "window_s": _positive, "kappa": _non_negative,
+        "g_free": _non_negative, "l_thresh": _non_negative,
+        "suite": {"scenes": _count, "gap_range": _range, "speed_range": _range},
+    },
+}
+
+# The config keys whose field in the object they fill has another name.
+_FIELDS = {"horizon": "horizon_steps", "noise": "control_noise", "scenes": "n_scenes",
+           "interrupt_on_collision": "interrupt_on_ego_collision"}
+
+
+def _checked(doc: dict, schema: dict, where: str = "") -> dict:
+    """doc with each value converted by its key's converter, and each
+    section checked in turn. A ConfigError names an unknown key, a section
+    that is not an object, or a value that its converter rejects."""
+    out = {}
+    for key, value in doc.items():
+        name = f"{where}.{key}" if where else key
+        if key not in schema:
+            raise ConfigError(f"unknown config key: {name}")
+        rule = schema[key]
+        if isinstance(rule, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"section {name!r} must be an object")
+            out[key] = _checked(value, rule, name)
+            continue
+        try:
+            out[key] = rule(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config key {name}: bad value {value!r} ({exc})") from None
+    return out
+
+
+def _fields(section: dict) -> dict:
+    """A section's keys as the field names of the object it fills."""
+    return {_FIELDS.get(key, key): value for key, value in section.items()}
+
+
 class RunSetup:
     """Everything a command needs, resolved from a config document.
 
@@ -195,29 +225,28 @@ class RunSetup:
     directory."""
 
     def __init__(self, doc: dict, base_dir: Path, seed_override: Optional[int] = None):
-        self.doc = doc
+        self.doc = _checked(doc, SCHEMA)
         self.base_dir = base_dir
-        sim = doc.get("sim", {})
-        self.sim_config = SimConfig(
-            dt=_value(sim, "sim", "dt", 0.1, _positive),
-            horizon_steps=_value(sim, "sim", "horizon", 50, _count),
-            seed=seed_override if seed_override is not None else _value(sim, "sim", "seed", 0, _int),
-            interrupt_on_ego_collision=_value(sim, "sim", "interrupt_on_collision", True, _bool),
-            control_noise=_value(sim, "sim", "noise", (0.0, 0.0), _non_negative_pair),
-            roi_radius=_value(sim, "sim", "roi_radius", 200.0, _positive),
-        )
-        self.mode = doc.get("mode", {})
-        self.mode_name = self.mode_value("name", "scenario", _one_of(MODES))
+        sim = _fields(self._section("sim"))
+        if seed_override is not None:
+            sim["seed"] = seed_override
+        self.sim_config = SimConfig(**sim)
+        self.mode = self._section("mode")
+        self.mode_name = self.mode.get("name", "scenario")
         self._map: Optional[SemanticMap] = None
         self._source: Optional[Episode] = None
         self._policies: dict[str, object] = {}
 
-    def mode_value(self, key: str, default, convert=_number):
-        return _value(self.mode, "mode", key, default, convert)
+    def _section(self, *names: str) -> dict:
+        """The checked section at the path of names; {} when it is absent."""
+        node = self.doc
+        for name in names:
+            node = node.get(name, {})
+        return node
 
-    def _path(self, section: dict, where: str, key: str) -> Path:
-        """The path string at section[key], relative to the config file."""
-        p = Path(_value(section, where, key, None, _text))
+    def _path(self, text: str) -> Path:
+        """A path from the config, relative to the config file."""
+        p = Path(text)
         return p if p.is_absolute() else self.base_dir / p
 
     @property
@@ -225,7 +254,7 @@ class RunSetup:
         if self._map is None:
             if "map" not in self.mode:
                 raise ConfigError("mode.map is required")
-            self._map = load_map(self._path(self.mode, "mode", "map"))
+            self._map = load_map(self._path(self.mode["map"]))
         return self._map
 
     @property
@@ -235,7 +264,7 @@ class RunSetup:
                 raise ConfigError("mode.source_log is required for this mode/policy")
             from .logs import read_episode_log
 
-            self._source = read_episode_log(self._path(self.mode, "mode", "source_log"))
+            self._source = read_episode_log(self._path(self.mode["source_log"]))
         return self._source
 
     def initial_state(self) -> Optional[SimState]:
@@ -243,14 +272,8 @@ class RunSetup:
         kept so log-replay policies stay aligned with the source."""
         if self.mode_name not in ("scenario", "behaviour"):
             return None
-        frame = self.mode_value("source_frame", 0, _int)
         source = self.source_episode
-        return source.state_at(source.states[0].step_index + frame)
-
-    def location(self) -> Optional[Pose2]:
-        if "location" not in self.mode:
-            return None
-        return Pose2(*self.mode_value("location", None, _floats(3)))
+        return source.state_at(source.states[0].step_index + self.mode.get("source_frame", 0))
 
     def dataset(self) -> Optional[list[Episode]]:
         """The episodes under mode.dataset_dir."""
@@ -258,21 +281,25 @@ class RunSetup:
             return None
         from .logs import read_episode_dir
 
-        return read_episode_dir(self._path(self.mode, "mode", "dataset_dir"))
+        return read_episode_dir(self._path(self.mode["dataset_dir"]))
+
+    def sampler_inputs(self) -> dict:
+        """What sample_initial_state and run_mode take to sample an initial
+        state: location, dataset, proc_cfg, and anchor_radius when given."""
+        inputs = dict(
+            location=self.mode.get("location"),
+            dataset=self.dataset(),
+            proc_cfg=ProceduralConfig(**self._section("mode", "procedural")),
+        )
+        if "anchor_radius" in self.mode:
+            inputs["anchor_radius"] = self.mode["anchor_radius"]
+        return inputs
 
     def episode_count(self) -> int:
-        return self.mode_value("episodes", 1, _count)
-
-    def procedural_config(self) -> ProceduralConfig:
-        proc = self.mode.get("procedural", {})
-        return ProceduralConfig(
-            agents_mean=_value(proc, "mode.procedural", "agents_mean", 5.0, _non_negative),
-            min_gap=_value(proc, "mode.procedural", "min_gap", 8.0, _positive),
-            speed_range=_value(proc, "mode.procedural", "speed_range", (0.0, 12.0), _range),
-        )
+        return self.mode.get("episodes", 1)
 
     def forced_paths(self) -> dict[str, Polyline]:
-        return self.mode_value("paths", {}, _paths)
+        return self.mode.get("paths", {})
 
     def policy(self, name: str):
         """The policy named by a POLICY_NAMES or EGO_NAMES entry, built on
@@ -280,34 +307,24 @@ class RunSetup:
         policies are immutable, so agents of one name hold one instance."""
         if name in self._policies:
             return self._policies[name]
-        cfg = self.doc.get("policies", {})
+        dt = self.sim_config.dt
         if name == "constant":
             policy = ConstantVelocityPolicy()
         elif name == "reactive_follow":
-            reactive = cfg.get("reactive", {})
-            where = "policies.reactive"
-            policy = ReactiveFollowPolicy(
-                dt=self.sim_config.dt,
-                a_max=_value(reactive, where, "a_max", 1.5, _positive),
-                b=_value(reactive, where, "b", 2.0, _positive),
-                s0=_value(reactive, where, "s0", 2.0, _non_negative),
-                t_headway=_value(reactive, where, "t_headway", 1.5, _non_negative),
-                v0=_value(reactive, where, "v0", 10.0, _positive),
-            )
+            policy = ReactiveFollowPolicy(dt=dt, **self._section("policies", "reactive"))
         elif name == "log_replay":
             policy = LogReplayPolicy(self.source_episode)
         elif name == "mlp":
-            if "weights" not in cfg:
+            weights = self._section("policies").get("weights")
+            if weights is None:
                 raise ConfigError("policies.weights is required for the mlp policy")
-            path = self._path(cfg, "policies", "weights")
+            path = self._path(weights)
             try:
-                policy = MlpPolicy(load_mlp(path), FeatureExtractor(dt=self.sim_config.dt))
+                policy = MlpPolicy(load_mlp(path), FeatureExtractor(dt=dt))
             except (KeyError, TypeError, ValueError) as exc:
-                detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-                raise ConfigError(f"config key policies.weights: bad model in {path}: {detail}") from None
+                raise ConfigError(f"config key policies.weights: bad model in {path}: {error_detail(exc)}") from None
         elif name == "brake_stop":
-            decel = _value(self.doc.get("ego", {}).get("params", {}), "ego.params", "decel", 2.5, _positive)
-            policy = BrakeToStopPolicy(dt=self.sim_config.dt, decel=decel)
+            policy = BrakeToStopPolicy(dt=dt, **self._section("ego", "params"))
         else:
             raise ConfigError(f"unknown policy {name!r}")
         self._policies[name] = policy
@@ -316,60 +333,39 @@ class RunSetup:
     def policies_factory(self):
         """state -> policy table for every agent: policies.default and
         policies.overrides for the others, ego.controller for the ego."""
-        cfg = self.doc.get("policies", {})
-        default_name = cfg.get("default", "constant")
-        overrides = _value(cfg, "policies", "overrides", {}, _names)
-        ego_name = self.doc.get("ego", {}).get("controller", "constant")
-
-        def named(name: str, allowed: tuple, what: str):
-            if name not in allowed:
-                raise ConfigError(f"unknown {what} {name!r} (expected one of {allowed})")
-            return self.policy(name)
+        policies = self._section("policies")
+        default_name = policies.get("default", "constant")
+        overrides = policies.get("overrides", {})
+        ego_name = self._section("ego").get("controller", "constant")
 
         def make(state: SimState) -> dict:
             table = {
-                a.id: named(overrides.get(a.id, default_name), POLICY_NAMES, "policy")
+                a.id: self.policy(overrides.get(a.id, default_name))
                 for a in state.agents
                 if a.id != state.ego_id
             }
-            table[state.ego_id] = named(ego_name, EGO_NAMES, "ego controller")
+            table[state.ego_id] = self.policy(ego_name)
             return table
 
         return make
 
-    def train_config(self) -> TrainConfig:
-        train = self.doc.get("policies", {}).get("train", {})
-        return TrainConfig(
-            lr=_value(train, "policies.train", "lr", 1e-3, _positive),
-            batch=_value(train, "policies.train", "batch", 64, _count),
-            epochs=_value(train, "policies.train", "epochs", 30, _int),
-            seed=self.sim_config.seed,
-            hidden=_value(train, "policies.train", "hidden", (32, 32), lambda v: tuple(_count(n) for n in v)),
-        )
-
-    def history_s(self) -> float:
-        return _value(self.doc.get("policies", {}).get("train", {}), "policies.train", "history_s", 1.0)
+    def training(self) -> tuple[TrainConfig, dict]:
+        """The TrainConfig from policies.train, and what build_bc_dataset
+        takes from that section: history_s, when given."""
+        train = dict(self._section("policies", "train"))
+        dataset_args = {"history_s": train.pop("history_s")} if "history_s" in train else {}
+        return TrainConfig(seed=self.sim_config.seed, **train), dataset_args
 
     def planner_thresholds(self) -> PlannerThresholds:
-        m = self.doc.get("metrics", {})
-        return PlannerThresholds(
-            d_thresh=_value(m, "metrics", "d_thresh", 5.0),
-            window_s=_value(m, "metrics", "window_s", 3.0),
-            kappa=_value(m, "metrics", "kappa", 0.5),
-            g_free=_value(m, "metrics", "g_free", 10.0),
-            l_thresh=_value(m, "metrics", "l_thresh", 2.0),
-        )
+        metrics = self._section("metrics")
+        return PlannerThresholds(**{k: v for k, v in metrics.items() if k not in ("horizons", "suite")})
 
     def horizons(self) -> list[float]:
-        m = self.doc.get("metrics", {})
-        return _value(m, "metrics", "horizons", (0.5, 1, 2, 3, 4, 5), lambda v: [_number(h) for h in v])
+        return self._section("metrics").get("horizons", [0.5, 1.0, 2.0, 3.0, 4.0, 5.0])
 
     def suite_params(self) -> dict:
-        suite = self.doc.get("metrics", {}).get("suite", {})
-        return {
-            "n_scenes": _value(suite, "metrics.suite", "scenes", 100, _count),
-            "gap_range": _value(suite, "metrics.suite", "gap_range", (10.0, 40.0), _range),
-            "speed_range": _value(suite, "metrics.suite", "speed_range", (5.0, 12.0), _range),
-            "seed": self.sim_config.seed,
-            "horizon_s": self.sim_config.horizon_steps * self.sim_config.dt,
-        }
+        return dict(
+            _fields(self._section("metrics", "suite")),
+            seed=self.sim_config.seed,
+            horizon_s=self.sim_config.horizon_steps * self.sim_config.dt,
+        )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..core import AgentState, Episode, Pose2, SimState
+from ..core import RECORD_ERRORS, AgentState, Episode, FormatError, Pose2, SimState, error_detail
 
 LOG_VERSION = 1
 
@@ -67,26 +67,29 @@ def parse_episode(text: str) -> Episode:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty episode log")
-    header = json.loads(lines[0])
-    if header.get("version") != LOG_VERSION:
-        raise ValueError(f"unsupported log version {header.get('version')!r}")
-    ego_id = str(header["ego_id"])
-    states = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        states.append(
-            SimState(
-                step_index=int(rec["t"]),
-                agents=tuple(_agent_from_record(a) for a in rec["agents"]),
-                ego_id=ego_id,
+    states = None  # None while the header is read
+    try:
+        header = json.loads(lines[0])
+        if header.get("version") != LOG_VERSION:
+            raise ValueError(f"unsupported log version {header.get('version')!r}")
+        ego_id = str(header["ego_id"])
+        dt, map_id = float(header["dt"]), str(header["map_id"])
+        termination = str(header.get("termination", "external"))
+        states = []
+        for line in lines[1:]:
+            rec = json.loads(line)
+            states.append(
+                SimState(
+                    step_index=int(rec["t"]),
+                    agents=tuple(_agent_from_record(a) for a in rec["agents"]),
+                    ego_id=ego_id,
+                )
             )
-        )
-    return Episode(
-        dt=float(header["dt"]),
-        map_id=str(header["map_id"]),
-        states=tuple(states),
-        termination=str(header.get("termination", "external")),
-    )
+    except RECORD_ERRORS as exc:
+        record = 0 if states is None else len(states) + 1
+        line_number = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][record]
+        raise FormatError(f"line {line_number}: {error_detail(exc)}") from None
+    return Episode(dt=dt, map_id=map_id, states=tuple(states), termination=termination)
 
 
 def write_episode_log(episode: Episode, path: str | Path) -> None:
@@ -94,7 +97,11 @@ def write_episode_log(episode: Episode, path: str | Path) -> None:
 
 
 def read_episode_log(path: str | Path) -> Episode:
-    return parse_episode(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse_episode(text)
+    except FormatError as exc:
+        raise FormatError(f"episode log {path}: {exc}") from None
 
 
 def read_episode_dir(path: str | Path) -> list[Episode]:

@@ -564,6 +564,20 @@ def map_to_json(smap: SemanticMap) -> dict:
     }
 
 
+class FormatError(ValueError):
+    """A malformed record in a map or episode log file; the command line
+    reports it as a usage error (exit 1)."""
+
+
+# What reading a record with a missing key or a bad value raises.
+RECORD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def error_detail(exc: Exception) -> str:
+    """exc as a message; a KeyError names the missing key."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
     for key in obj:
         if key not in allowed:
@@ -571,27 +585,37 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def map_from_json(doc: dict, map_id: str = "map") -> SemanticMap:
+    """A FormatError names the lane or light record, lanes[k] or
+    lights[k], that has a missing key or a bad value."""
+    if not isinstance(doc, dict):
+        raise FormatError("the map document must be an object")
     _check_keys(doc, {"map_id", "lanes", "crosswalks", "lights"}, "map document")
     lanes = []
-    for entry in doc.get("lanes", []):
-        _check_keys(entry, {"id", "centerline", "width", "successors", "light_id"}, "lane")
-        lanes.append(
-            Lane(
-                id=str(entry["id"]),
-                centerline=np.asarray(entry["centerline"], dtype=float),
-                width=float(entry["width"]),
-                successors=tuple(entry.get("successors", ())),
-                light_id=entry.get("light_id"),
+    try:
+        for entry in doc.get("lanes", []):
+            _check_keys(entry, {"id", "centerline", "width", "successors", "light_id"}, "lane")
+            lanes.append(
+                Lane(
+                    id=str(entry["id"]),
+                    centerline=np.asarray(entry["centerline"], dtype=float),
+                    width=float(entry["width"]),
+                    successors=tuple(entry.get("successors", ())),
+                    light_id=entry.get("light_id"),
+                )
             )
-        )
+    except RECORD_ERRORS as exc:
+        raise FormatError(f"lanes[{len(lanes)}]: {error_detail(exc)}") from None
     lights = []
-    for entry in doc.get("lights", []):
-        _check_keys(entry, {"id", "schedule"}, "light")
-        sched = []
-        for phase in entry["schedule"]:
-            _check_keys(phase, {"start_s", "end_s", "color"}, "light phase")
-            sched.append((float(phase["start_s"]), float(phase["end_s"]), str(phase["color"])))
-        lights.append(TrafficLight(id=str(entry["id"]), schedule=tuple(sched)))
+    try:
+        for entry in doc.get("lights", []):
+            _check_keys(entry, {"id", "schedule"}, "light")
+            sched = []
+            for phase in entry["schedule"]:
+                _check_keys(phase, {"start_s", "end_s", "color"}, "light phase")
+                sched.append((float(phase["start_s"]), float(phase["end_s"]), str(phase["color"])))
+            lights.append(TrafficLight(id=str(entry["id"]), schedule=tuple(sched)))
+    except RECORD_ERRORS as exc:
+        raise FormatError(f"lights[{len(lights)}]: {error_detail(exc)}") from None
     return SemanticMap(
         lanes=tuple(lanes),
         crosswalks=tuple(np.asarray(p, dtype=float) for p in doc.get("crosswalks", [])),
@@ -604,7 +628,10 @@ def load_map(path: str | Path) -> SemanticMap:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return map_from_json(doc, map_id=path.stem)
+    try:
+        return map_from_json(doc, map_id=path.stem)
+    except FormatError as exc:
+        raise FormatError(f"map {path}: {exc}") from None
 
 
 def save_map(smap: SemanticMap, path: str | Path) -> None:

@@ -68,6 +68,64 @@ BAD_WEIGHTS = {
 }
 
 
+def _edit_log_line(ws, number, edit):
+    path = ws / "source.jsonl"
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[number - 1])
+    edit(rec)
+    lines[number - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_map(ws, edit):
+    doc = json.loads((ws / "map.json").read_text())
+    edit(doc)
+    (ws / "map.json").write_text(json.dumps(doc))
+
+
+def _duplicate_agent(rec):
+    rec["agents"].append(dict(rec["agents"][0]))
+
+
+# One record of the source log or the map broken, each by a different error:
+# (file, the record the message names, corrupt(workspace)).
+BAD_RECORDS = {
+    "frame_without_t": ("source.jsonl", "line 4", lambda ws: _edit_log_line(ws, 4, lambda rec: rec.pop("t"))),
+    "agent_x_null": (
+        "source.jsonl",
+        "line 2",
+        lambda ws: _edit_log_line(ws, 2, lambda rec: rec["agents"][1].update(x=None)),
+    ),
+    "agent_x_nan": (
+        "source.jsonl",
+        "line 3",
+        lambda ws: _edit_log_line(ws, 3, lambda rec: rec["agents"][0].update(x=float("nan"))),
+    ),
+    "duplicate_agent_ids": ("source.jsonl", "line 5", lambda ws: _edit_log_line(ws, 5, _duplicate_agent)),
+    "header_without_ego_id": (
+        "source.jsonl",
+        "line 1",
+        lambda ws: _edit_log_line(ws, 1, lambda rec: rec.pop("ego_id")),
+    ),
+    "lane_without_id": ("map.json", "lanes[0]", lambda ws: _edit_map(ws, lambda doc: doc["lanes"][0].pop("id"))),
+    "one_point_centerline": (
+        "map.json",
+        "lanes[0]",
+        lambda ws: _edit_map(ws, lambda doc: doc["lanes"][0].update(centerline=[[0.0, 0.0]])),
+    ),
+    "lane_width_text": (
+        "map.json",
+        "lanes[0]",
+        lambda ws: _edit_map(ws, lambda doc: doc["lanes"][0].update(width="wide")),
+    ),
+    "map_is_a_list": (
+        "map.json",
+        "the map document must be an object",
+        lambda ws: (ws / "map.json").write_text("[]"),
+    ),
+}
+
+
 class TestEpisodeLog:
     def test_roundtrip_equality(self, straight_map):
         log = make_log(straight_map)
@@ -275,6 +333,18 @@ class TestSimulateCommand:
             ("metrics", "suite.scenes", 0),
             ("metrics", "suite.gap_range", [40, 10]),
             ("metrics", "suite.speed_range", [-5, 12]),
+            ("mode", "anchor_radius", -1),
+            # realism horizons are a non-empty list of times > 0
+            ("metrics", "horizons", [-1]),
+            ("metrics", "horizons", []),
+            # planner thresholds are >= 0, the passiveness window > 0
+            ("metrics", "d_thresh", -1),
+            ("metrics", "window_s", 0),
+            ("metrics", "kappa", -1),
+            ("metrics", "g_free", -1),
+            ("metrics", "l_thresh", -1),
+            ("policies", "train.epochs", -3),
+            ("policies", "train.history_s", -1),
         ],
     )
     def test_config_type_error_exit_1_names_key(self, workspace, capsys, section, key, value):
@@ -307,6 +377,28 @@ class TestSimulateCommand:
         out = workspace / "x.jsonl"
         assert main(command + ["--config", cfg_path, "--out", str(out)]) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, section, key, value, message",
+        [
+            ("simulate", "metrics", "kappa", "abc", "metrics.kappa"),
+            ("simulate", "policies", "train", {"lr": "abc"}, "policies.train.lr"),
+            ("sample-state", "policies", "default", "teleport", "unknown policy 'teleport'"),
+        ],
+    )
+    def test_unread_section_checked_at_load(self, workspace, capsys, command, section, key, value, message):
+        # every key is checked when the config is loaded, whether or not
+        # the command reads it
+        doc = {
+            "sim": {"dt": 0.1, "horizon": 5, "seed": 0},
+            "mode": {"name": "journey", "map": "map.json", "location": [50.0, 0.0, 0.0]},
+            section: {key: value},
+        }
+        cfg_path = write_config(workspace / "run.json", doc)
+        out = workspace / "x.jsonl"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_whole_number_floats_are_counts(self, workspace):
@@ -399,6 +491,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "policies.weights" in err and str(weights) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", list(BAD_RECORDS))
+    def test_malformed_record_exit_1(self, workspace, capsys, name):
+        file, record, corrupt = BAD_RECORDS[name]
+        corrupt(workspace)
+        cfg_path = write_config(workspace / "run.json", self.scenario_config(workspace))
+        out = workspace / "x.jsonl"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{workspace / file}: {record}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -668,11 +771,16 @@ def _prune(tree: dict, schema: dict) -> dict:
     }
 
 
+def _schema_keys(schema: dict) -> dict:
+    """The schema's key tree: a key maps to None, a section to its tree."""
+    return {k: _schema_keys(v) if isinstance(v, dict) else None for k, v in schema.items()}
+
+
 def test_readme_config_block_names_the_schema():
-    # the README documents exactly the keys that load_run_config accepts
+    # the README documents exactly the keys that SCHEMA declares
     from drivesim.cli.config import SCHEMA
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```jsonc\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
-    assert _prune(_key_tree(blocks[0]), SCHEMA) == SCHEMA
+    assert _prune(_key_tree(blocks[0]), SCHEMA) == _schema_keys(SCHEMA)
