@@ -38,7 +38,6 @@ from .policies import (
     build_bc_dataset,
     mlp_forward,
     mlp_train,
-    policy_act,
 )
 from .raster import Grid, connected_components, extract_from_channel, render
 

@@ -39,7 +39,7 @@ def load_run_config(path: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
+        raise ConfigError(f"config {path}: the root must be an object")
     return doc
 
 
@@ -249,22 +249,28 @@ class RunSetup:
         p = Path(text)
         return p if p.is_absolute() else self.base_dir / p
 
+    def _read(self, key: str, reader):
+        """reader(path) of the file that mode.<key> names; a missing key or
+        a file that cannot be opened is reported by the key."""
+        if key not in self.mode:
+            raise ConfigError(f"mode.{key} is required")
+        try:
+            return reader(self._path(self.mode[key]))
+        except OSError as exc:
+            raise ConfigError(f"config key mode.{key}: {exc}") from None
+
     @property
     def smap(self) -> SemanticMap:
         if self._map is None:
-            if "map" not in self.mode:
-                raise ConfigError("mode.map is required")
-            self._map = load_map(self._path(self.mode["map"]))
+            self._map = self._read("map", load_map)
         return self._map
 
     @property
     def source_episode(self) -> Episode:
         if self._source is None:
-            if "source_log" not in self.mode:
-                raise ConfigError("mode.source_log is required for this mode/policy")
             from .logs import read_episode_log
 
-            self._source = read_episode_log(self._path(self.mode["source_log"]))
+            self._source = self._read("source_log", read_episode_log)
         return self._source
 
     def initial_state(self) -> Optional[SimState]:
@@ -272,8 +278,11 @@ class RunSetup:
         kept so log-replay policies stay aligned with the source."""
         if self.mode_name not in ("scenario", "behaviour"):
             return None
-        source = self.source_episode
-        return source.state_at(source.states[0].step_index + self.mode.get("source_frame", 0))
+        states = self.source_episode.states
+        frame = self.mode.get("source_frame", 0)
+        if not 0 <= frame < len(states):
+            raise ConfigError(f"config key mode.source_frame: {frame} is not one of {len(states)} source frames")
+        return states[frame]
 
     def dataset(self) -> Optional[list[Episode]]:
         """The episodes under mode.dataset_dir."""
@@ -321,8 +330,8 @@ class RunSetup:
             path = self._path(weights)
             try:
                 policy = MlpPolicy(load_mlp(path), FeatureExtractor(dt=dt))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"config key policies.weights: bad model in {path}: {error_detail(exc)}") from None
+            except (KeyError, OSError, OverflowError, TypeError, ValueError) as exc:
+                raise ConfigError(f"config key policies.weights: {path}: {error_detail(exc)}") from None
         elif name == "brake_stop":
             policy = BrakeToStopPolicy(dt=dt, **self._section("ego", "params"))
         else:

@@ -8,9 +8,12 @@ bytes and logs round-trip losslessly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
-from ..core import RECORD_ERRORS, AgentState, Episode, FormatError, Pose2, SimState, error_detail
+from ..core import (
+    AGENT_KINDS, RECORD_ERRORS, TERMINATIONS, AgentState, Episode, FormatError, Pose2, SimState, error_detail,
+)
 
 LOG_VERSION = 1
 
@@ -30,14 +33,19 @@ def _agent_record(agent: AgentState) -> dict:
 
 
 def _agent_from_record(rec: dict) -> AgentState:
-    return AgentState(
-        id=str(rec["id"]),
-        pose=Pose2(float(rec["x"]), float(rec["y"]), float(rec["yaw"])),
-        extent=(float(rec["length"]), float(rec["width"])),
-        speed=float(rec["v"]),
-        kind=str(rec["kind"]),
-        active=bool(rec["active"]),
-    )
+    agent_id = str(rec["id"])
+    x, y, yaw = float(rec["x"]), float(rec["y"]), float(rec["yaw"])
+    length, width, v = float(rec["length"]), float(rec["width"]), float(rec["v"])
+    kind = str(rec["kind"])
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(yaw)):
+        raise ValueError(f"agent {agent_id}: non-finite pose ({x}, {y}, {yaw})")
+    if not (0 < length < math.inf and 0 < width < math.inf):
+        raise ValueError(f"agent {agent_id}: length and width must be finite and > 0, got {length}, {width}")
+    if not 0 <= v < math.inf:
+        raise ValueError(f"agent {agent_id}: speed must be finite and >= 0, got {v}")
+    if kind not in AGENT_KINDS:
+        raise ValueError(f"agent {agent_id}: unknown kind {kind!r}")
+    return AgentState(agent_id, Pose2(x, y, yaw), (length, width), v, kind, bool(rec["active"]))
 
 
 def _dumps(obj: dict) -> str:
@@ -63,32 +71,50 @@ def serialize_episode(episode: Episode) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _frame(rec: dict, ego_id: str, states: list) -> SimState:
+    """The state of one frame record, which follows states."""
+    agents = tuple(_agent_from_record(a) for a in rec["agents"])
+    t = rec["t"]
+    if type(t) is not int or t < 0:
+        raise ValueError(f"t must be a whole number >= 0, got {t!r}")
+    if states and t != states[-1].step_index + 1:
+        raise ValueError(f"t is {t}, expected {states[-1].step_index + 1}: frames must be contiguous")
+    ids = {a.id for a in agents}
+    if len(ids) != len(agents):
+        raise ValueError("agent ids must be pairwise distinct")
+    if ego_id not in ids:
+        raise ValueError(f"ego id {ego_id!r} not present among agents")
+    if states and ids != {a.id for a in states[0].agents}:
+        raise ValueError("agent id set differs from the first frame")
+    return SimState(step_index=t, agents=agents, ego_id=ego_id)
+
+
 def parse_episode(text: str) -> Episode:
-    lines = [line for line in text.splitlines() if line.strip()]
+    """The episode of a log's text. The log is checked here, once, for
+    everything the engine takes for granted; a FormatError names the line
+    at fault."""
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
-        raise ValueError("empty episode log")
-    states = None  # None while the header is read
+        raise FormatError("empty episode log")
+    number = lines[0][0]
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
         if header.get("version") != LOG_VERSION:
             raise ValueError(f"unsupported log version {header.get('version')!r}")
         ego_id = str(header["ego_id"])
         dt, map_id = float(header["dt"]), str(header["map_id"])
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
         termination = str(header.get("termination", "external"))
-        states = []
-        for line in lines[1:]:
-            rec = json.loads(line)
-            states.append(
-                SimState(
-                    step_index=int(rec["t"]),
-                    agents=tuple(_agent_from_record(a) for a in rec["agents"]),
-                    ego_id=ego_id,
-                )
-            )
+        if termination not in TERMINATIONS:
+            raise ValueError(f"unknown termination {termination!r}")
+        if len(lines) == 1:
+            raise ValueError("the log has no frame")
+        states: list[SimState] = []
+        for number, line in lines[1:]:
+            states.append(_frame(json.loads(line), ego_id, states))
     except RECORD_ERRORS as exc:
-        record = 0 if states is None else len(states) + 1
-        line_number = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][record]
-        raise FormatError(f"line {line_number}: {error_detail(exc)}") from None
+        raise FormatError(f"line {number}: {error_detail(exc)}") from None
     return Episode(dt=dt, map_id=map_id, states=tuple(states), termination=termination)
 
 

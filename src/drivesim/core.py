@@ -4,6 +4,13 @@ World frame: x east, y north, distances in meters. Headings are radians,
 counter-clockwise from +x, normalized to (-pi, pi]. All types are immutable
 value objects and every function here is pure, so everything is safe to
 share across threads.
+
+Outside data is checked once, where it enters: map files in
+`map_from_json` and the map types, episode logs in `cli.logs.parse_episode`,
+the run config in `cli.config.SCHEMA`, weights in `policies.MlpPolicy`, and
+policy outputs in `kinematics.Control`. The state types below check nothing
+when built; `Pose2` only puts itself in canonical form (float x and y, yaw
+in (-pi, pi]), which every log byte depends on.
 """
 from __future__ import annotations
 
@@ -44,8 +51,6 @@ class Pose2:
     yaw: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite position: ({self.x!r}, {self.y!r})")
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
@@ -67,16 +72,6 @@ class AgentState:
     kind: str = "vehicle"
     active: bool = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "extent", (float(self.extent[0]), float(self.extent[1])))
-        if not (self.extent[0] > 0 and self.extent[1] > 0):
-            raise ValueError(f"agent {self.id}: extent must be strictly positive, got {self.extent}")
-        if not (math.isfinite(self.speed) and self.speed >= 0):
-            raise ValueError(f"agent {self.id}: speed must be finite and >= 0, got {self.speed}")
-        object.__setattr__(self, "speed", float(self.speed))
-        if self.kind not in AGENT_KINDS:
-            raise ValueError(f"agent {self.id}: unknown kind {self.kind!r}")
-
     @property
     def length(self) -> float:
         return self.extent[0]
@@ -97,16 +92,6 @@ class SimState:
     step_index: int
     agents: tuple[AgentState, ...]
     ego_id: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(self.agents))
-        if self.step_index < 0:
-            raise ValueError(f"step_index must be >= 0, got {self.step_index}")
-        ids = [a.id for a in self.agents]
-        if len(set(ids)) != len(ids):
-            raise ValueError("agent ids must be pairwise distinct")
-        if self.ego_id not in set(ids):
-            raise ValueError(f"ego id {self.ego_id!r} not present among agents")
 
     @cached_property
     def _by_id(self) -> dict[str, AgentState]:
@@ -135,24 +120,6 @@ class Episode:
     states: tuple[SimState, ...]
     termination: str = "completed"
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.states:
-            raise ValueError("episode must contain at least one state")
-        if self.termination not in TERMINATIONS:
-            raise ValueError(f"unknown termination {self.termination!r}")
-        first = self.states[0].step_index
-        ids0 = frozenset(a.id for a in self.states[0].agents)
-        for k, s in enumerate(self.states):
-            if s.step_index != first + k:
-                raise ValueError("state step indices must be contiguous")
-            if frozenset(a.id for a in s.agents) != ids0:
-                raise ValueError("agent id sets must be consistent across states")
-            if s.ego_id != self.states[0].ego_id:
-                raise ValueError("ego id must not change within an episode")
-
     @property
     def ego_id(self) -> str:
         return self.states[0].ego_id
@@ -175,14 +142,6 @@ class Obb:
     center: tuple[float, float]
     half_extents: tuple[float, float]
     yaw: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        object.__setattr__(
-            self, "half_extents", (float(self.half_extents[0]), float(self.half_extents[1]))
-        )
-        if not (self.half_extents[0] > 0 and self.half_extents[1] > 0):
-            raise ValueError(f"half extents must be strictly positive, got {self.half_extents}")
 
 
 def agent_obb(agent: AgentState) -> Obb:
@@ -348,21 +307,21 @@ class SemanticMap:
             self, "crosswalks", tuple(np.asarray(p, dtype=float) for p in self.crosswalks)
         )
         object.__setattr__(self, "lights", tuple(self.lights))
-        lane_ids = [l.id for l in self.lanes]
-        if len(set(lane_ids)) != len(lane_ids):
+        lane_ids = {l.id for l in self.lanes}
+        if len(lane_ids) != len(self.lanes):
             raise ValueError("duplicate lane ids")
         light_ids = {l.id for l in self.lights}
         if len(light_ids) != len(self.lights):
             raise ValueError("duplicate light ids")
-        for lane in self.lanes:
+        for k, lane in enumerate(self.lanes):
             for succ in lane.successors:
-                if succ not in set(lane_ids):
-                    raise ValueError(f"lane {lane.id}: unresolved successor {succ!r}")
+                if succ not in lane_ids:
+                    raise ValueError(f"lanes[{k}]: unresolved successor {succ!r}")
             if lane.light_id is not None and lane.light_id not in light_ids:
-                raise ValueError(f"lane {lane.id}: unresolved light {lane.light_id!r}")
-        for poly in self.crosswalks:
-            if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
-                raise ValueError("crosswalk polygons need >= 3 points")
+                raise ValueError(f"lanes[{k}]: unresolved light {lane.light_id!r}")
+        for k, poly in enumerate(self.crosswalks):
+            if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2 or not np.isfinite(poly).all():
+                raise ValueError(f"crosswalks[{k}]: a crosswalk is >= 3 finite [x, y] points")
 
     @cached_property
     def _lane_by_id(self) -> dict[str, Lane]:
@@ -570,7 +529,7 @@ class FormatError(ValueError):
 
 
 # What reading a record with a missing key or a bad value raises.
-RECORD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+RECORD_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 def error_detail(exc: Exception) -> str:
@@ -584,53 +543,67 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
             raise ValueError(f"unknown key {key!r} in {where}")
 
 
+def _list(obj: dict, key: str) -> list:
+    """obj[key], which must be a list; [] when it is absent."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+    return value
+
+
 def map_from_json(doc: dict, map_id: str = "map") -> SemanticMap:
-    """A FormatError names the lane or light record, lanes[k] or
-    lights[k], that has a missing key or a bad value."""
+    """The map of a JSON document, checked once: a FormatError names the
+    record at fault (lanes[k], lights[k], crosswalks[k]) or the document."""
     if not isinstance(doc, dict):
         raise FormatError("the map document must be an object")
-    _check_keys(doc, {"map_id", "lanes", "crosswalks", "lights"}, "map document")
-    lanes = []
+    where = ""  # the record being read, as a message prefix
     try:
-        for entry in doc.get("lanes", []):
+        _check_keys(doc, {"map_id", "lanes", "crosswalks", "lights"}, "the map document")
+        lane_docs, light_docs, crosswalk_docs = (_list(doc, key) for key in ("lanes", "lights", "crosswalks"))
+        lanes = []
+        for k, entry in enumerate(lane_docs):
+            where = f"lanes[{k}]: "
             _check_keys(entry, {"id", "centerline", "width", "successors", "light_id"}, "lane")
+            light_id = entry.get("light_id")
             lanes.append(
                 Lane(
                     id=str(entry["id"]),
                     centerline=np.asarray(entry["centerline"], dtype=float),
                     width=float(entry["width"]),
-                    successors=tuple(entry.get("successors", ())),
-                    light_id=entry.get("light_id"),
+                    successors=tuple(str(succ) for succ in _list(entry, "successors")),
+                    light_id=None if light_id is None else str(light_id),
                 )
             )
-    except RECORD_ERRORS as exc:
-        raise FormatError(f"lanes[{len(lanes)}]: {error_detail(exc)}") from None
-    lights = []
-    try:
-        for entry in doc.get("lights", []):
+        lights = []
+        for k, entry in enumerate(light_docs):
+            where = f"lights[{k}]: "
             _check_keys(entry, {"id", "schedule"}, "light")
             sched = []
             for phase in entry["schedule"]:
                 _check_keys(phase, {"start_s", "end_s", "color"}, "light phase")
                 sched.append((float(phase["start_s"]), float(phase["end_s"]), str(phase["color"])))
             lights.append(TrafficLight(id=str(entry["id"]), schedule=tuple(sched)))
+        crosswalks = []
+        for k, poly in enumerate(crosswalk_docs):
+            where = f"crosswalks[{k}]: "
+            crosswalks.append(np.asarray(poly, dtype=float))
+        where = ""  # the whole-map checks name their own record
+        return SemanticMap(
+            lanes=tuple(lanes),
+            crosswalks=tuple(crosswalks),
+            lights=tuple(lights),
+            map_id=str(doc.get("map_id", map_id)),
+        )
     except RECORD_ERRORS as exc:
-        raise FormatError(f"lights[{len(lights)}]: {error_detail(exc)}") from None
-    return SemanticMap(
-        lanes=tuple(lanes),
-        crosswalks=tuple(np.asarray(p, dtype=float) for p in doc.get("crosswalks", [])),
-        lights=tuple(lights),
-        map_id=str(doc.get("map_id", map_id)),
-    )
+        raise FormatError(f"{where}{error_detail(exc)}") from None
 
 
 def load_map(path: str | Path) -> SemanticMap:
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
-        return map_from_json(doc, map_id=path.stem)
-    except FormatError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            return map_from_json(json.load(fh), map_id=path.stem)
+    except (FormatError, json.JSONDecodeError) as exc:
         raise FormatError(f"map {path}: {exc}") from None
 
 

@@ -29,7 +29,6 @@ from .core import (
     obb_overlap,
 )
 from .kinematics import Control, advance
-from .policies import policy_act
 
 log = logging.getLogger(__name__)
 
@@ -47,12 +46,6 @@ class SimConfig:
     interrupt_on_ego_collision: bool = True
     control_noise: tuple[float, float] = (0.0, 0.0)  # (sigma_phi, sigma_v)
     roi_radius: float = 200.0
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.horizon_steps < 1:
-            raise ValueError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
 
 
 def _stream_key(seed: int, tag: str, counter: int) -> np.ndarray:
@@ -97,7 +90,7 @@ def _advance_agent(
         policy = policies[agent.id]
     except KeyError:
         raise ValueError(f"no policy assigned for agent {agent.id!r}") from None
-    decision = policy_act(policy, agent.id, prev, smap)
+    decision = policy.act(agent.id, prev, smap)
     if decision.pose_override is not None:
         return replace(agent, pose=decision.pose_override, speed=decision.control.v)
     c = decision.control
@@ -159,7 +152,10 @@ def unroll(
 ) -> Episode:
     """Roll the state forward horizon_steps transitions, truncating with
     termination "ego_collision" if the ego rectangle contacts an agent.
-    policies maps every agent id, the ego's included, to its policy."""
+    policies maps every agent id, the ego's included, to its policy. The
+    ego must be active in s1; step never deactivates it."""
+    if not s1.ego.active:
+        raise ValueError(f"agent {s1.ego_id!r} is not active at step {s1.step_index}")
     states = [s1]
     termination = "completed"
     for k in range(1, cfg.horizon_steps + 1):

@@ -38,13 +38,6 @@ class ProceduralConfig:
     min_gap: float = 8.0
     speed_range: tuple[float, float] = (0.0, 12.0)
 
-    def __post_init__(self):
-        if not self.min_gap > 0:
-            raise ValueError("min_gap must be > 0")
-        lo, hi = self.speed_range
-        if not (0 <= lo <= hi):
-            raise ValueError(f"speed_range must be ordered and non-negative, got {self.speed_range}")
-
 
 def _draw_lane_position(smap: SemanticMap, rng: np.random.Generator) -> tuple[str, float]:
     """Uniform over total centerline arclength."""

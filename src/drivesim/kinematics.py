@@ -31,8 +31,6 @@ class Control:
 def advance(agent: AgentState, control: Control, dt: float) -> AgentState:
     """Integrate one step: yaw first, then move control.v * dt along the new
     heading. Extent, id, and kind are unchanged; speed becomes control.v."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
     yaw = normalize_angle(agent.pose.yaw + control.phi * dt)
     step = control.v * dt
     pose = Pose2(agent.pose.x + step * math.cos(yaw), agent.pose.y + step * math.sin(yaw), yaw)
@@ -45,8 +43,6 @@ def fit_controls(frm: Pose2, to: Pose2, dt: float) -> Control:
     Exact inverse of `advance` on its reachable set (displacement aligned
     with to.yaw); lossy otherwise. The yaw rate is clamped to +-DEFAULT_PHI_MAX.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
     phi = normalize_angle(to.yaw - frm.yaw) / dt
     phi = min(max(phi, -DEFAULT_PHI_MAX), DEFAULT_PHI_MAX)
     v = math.hypot(to.x - frm.x, to.y - frm.y) / dt

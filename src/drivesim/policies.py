@@ -54,14 +54,6 @@ class PolicyDecision:
     pose_override: Optional[Pose2] = None
 
 
-def policy_act(policy, agent_id: str, state: SimState, smap: SemanticMap) -> PolicyDecision:
-    """Evaluate a policy for one agent against the previous state."""
-    agent = state.agent(agent_id)
-    if not agent.active:
-        raise ValueError(f"agent {agent_id!r} is not active at step {state.step_index}")
-    return policy.act(agent_id, state, smap)
-
-
 class ConstantVelocityPolicy:
     """Keep the current speed and heading."""
 
@@ -243,7 +235,7 @@ class PathOverridePolicy:
         self.path = path if isinstance(path, Polyline) else Polyline(path)
 
     def act(self, agent_id, state, smap) -> PolicyDecision:
-        inner_decision = policy_act(self.inner, agent_id, state, smap)
+        inner_decision = self.inner.act(agent_id, state, smap)
         v = inner_decision.control.v
         me = state.agent(agent_id)
         _, _, s = project_to_polyline(self.path.segments, me.center)
@@ -497,7 +489,8 @@ def build_bc_dataset(
 
 class MlpPolicy:
     """Learned transition policy: features -> MLP -> control. The one place
-    a model is checked: N_FEATURES inputs, 2 outputs, finite parameters."""
+    a model is checked: N_FEATURES inputs, 2 outputs, finite parameters,
+    phi_max and v_max >= 0."""
 
     def __init__(self, mlp: Mlp, extractor: FeatureExtractor):
         sizes = mlp.layer_sizes
@@ -506,6 +499,8 @@ class MlpPolicy:
         params = [*mlp.weights, *mlp.biases, np.array([mlp.phi_max, mlp.v_max], dtype=float)]
         if not all(np.isfinite(p).all() for p in params):
             raise ValueError("non-finite model parameters")
+        if not (mlp.phi_max >= 0 and mlp.v_max >= 0):
+            raise ValueError(f"phi_max and v_max must be >= 0, got {mlp.phi_max} and {mlp.v_max}")
         self.mlp = mlp
         self.extractor = extractor
 

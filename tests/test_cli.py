@@ -65,6 +65,8 @@ BAD_WEIGHTS = {
     "one_output": _one_output,
     "shape_mismatch": lambda doc: doc["layers"][0]["weights"].pop(),
     "infinite_weight": _infinite_weight,
+    "negative_v_max": lambda doc: doc.update(v_max=-1.0),
+    "negative_phi_max": lambda doc: doc.update(phi_max=-1.0),
 }
 
 
@@ -85,6 +87,20 @@ def _edit_map(ws, edit):
 
 def _duplicate_agent(rec):
     rec["agents"].append(dict(rec["agents"][0]))
+
+
+def _edit_agent(number, **fields):
+    """A corrupt(workspace) that sets fields of the first agent on a line."""
+    return lambda ws: _edit_log_line(ws, number, lambda rec: rec["agents"][0].update(fields))
+
+
+def _header_only(ws):
+    path = ws / "source.jsonl"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
+def _edit_lane(**fields):
+    return lambda ws: _edit_map(ws, lambda doc: doc["lanes"][0].update(fields))
 
 
 # One record of the source log or the map broken, each by a different error:
@@ -122,6 +138,57 @@ BAD_RECORDS = {
         "map.json",
         "the map document must be an object",
         lambda ws: (ws / "map.json").write_text("[]"),
+    ),
+    # the checks the state types no longer make, made once by the reader
+    "agent_kind_boat": ("source.jsonl", "line 2", _edit_agent(2, kind="boat")),
+    "agent_length_zero": ("source.jsonl", "line 3", _edit_agent(3, length=0)),
+    "agent_speed_negative": ("source.jsonl", "line 4", _edit_agent(4, v=-1)),
+    "t_skips": ("source.jsonl", "line 6", lambda ws: _edit_log_line(ws, 6, lambda rec: rec.update(t=9))),
+    "agent_dropped": (
+        "source.jsonl",
+        "line 7",
+        lambda ws: _edit_log_line(ws, 7, lambda rec: rec["agents"].pop()),
+    ),
+    "ego_not_in_frame": (
+        "source.jsonl",
+        "line 2",
+        lambda ws: _edit_log_line(ws, 1, lambda rec: rec.update(ego_id="nobody")),
+    ),
+    "header_only": ("source.jsonl", "line 1", _header_only),
+    "dt_zero": ("source.jsonl", "line 1", lambda ws: _edit_log_line(ws, 1, lambda rec: rec.update(dt=0))),
+    "termination_boom": (
+        "source.jsonl",
+        "line 1",
+        lambda ws: _edit_log_line(ws, 1, lambda rec: rec.update(termination="boom")),
+    ),
+    # lists are checked to be lists, and whole-map checks name their record
+    "crosswalks_null": (
+        "map.json",
+        "crosswalks must be a list",
+        lambda ws: _edit_map(ws, lambda doc: doc.update(crosswalks=None)),
+    ),
+    "lanes_not_a_list": (
+        "map.json",
+        "lanes must be a list",
+        lambda ws: _edit_map(ws, lambda doc: doc.update(lanes=5)),
+    ),
+    "successors_text": ("map.json", "lanes[0]", _edit_lane(successors="abc")),
+    "unresolved_successor": ("map.json", "lanes[0]", _edit_lane(successors=["zz"])),
+    "unresolved_light": ("map.json", "lanes[0]", _edit_lane(light_id="l9")),
+    "two_point_crosswalk": (
+        "map.json",
+        "crosswalks[0]",
+        lambda ws: _edit_map(ws, lambda doc: doc.update(crosswalks=[[[0, 0], [1, 0]]])),
+    ),
+    "nan_crosswalk": (
+        "map.json",
+        "crosswalks[0]",
+        lambda ws: _edit_map(ws, lambda doc: doc.update(crosswalks=[[[0, 0], [1, 0], [float("nan"), 1]]])),
+    ),
+    "unknown_map_key": (
+        "map.json",
+        "unknown key 'speed_limit' in the map document",
+        lambda ws: _edit_map(ws, lambda doc: doc.update(speed_limit=13.0)),
     ),
 }
 
@@ -345,6 +412,9 @@ class TestSimulateCommand:
             ("metrics", "l_thresh", -1),
             ("policies", "train.epochs", -3),
             ("policies", "train.history_s", -1),
+            # the frame must be one of the source log's 31
+            ("mode", "source_frame", -1),
+            ("mode", "source_frame", 31),
         ],
     )
     def test_config_type_error_exit_1_names_key(self, workspace, capsys, section, key, value):

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from drivesim.core import (
-    AgentState,
-    Episode,
     Lane,
     Obb,
     Pose2,
     SemanticMap,
-    SimState,
     TrafficLight,
     advance_along_lanes,
     lane_chain,
@@ -61,33 +58,6 @@ class TestNormalizeAngle:
 class TestDomainTypes:
     def test_pose_normalizes_yaw(self):
         assert Pose2(0, 0, 3 * math.pi).yaw == pytest.approx(math.pi)
-
-    def test_agent_validation(self):
-        with pytest.raises(ValueError):
-            AgentState(id="a", pose=Pose2(0, 0, 0), extent=(0.0, 2.0), speed=1.0)
-        with pytest.raises(ValueError):
-            AgentState(id="a", pose=Pose2(0, 0, 0), extent=(4.0, 2.0), speed=-1.0)
-        with pytest.raises(ValueError):
-            AgentState(id="a", pose=Pose2(0, 0, 0), extent=(4.0, 2.0), speed=1.0, kind="boat")
-
-    def test_state_requires_ego_and_unique_ids(self):
-        a = AgentState(id="a", pose=Pose2(0, 0, 0), extent=(4, 2), speed=0)
-        with pytest.raises(ValueError):
-            SimState(step_index=0, agents=(a,), ego_id="missing")
-        with pytest.raises(ValueError):
-            SimState(step_index=0, agents=(a, a), ego_id="a")
-
-    def test_episode_contiguity_and_id_conservation(self):
-        a = AgentState(id="a", pose=Pose2(0, 0, 0), extent=(4, 2), speed=0)
-        b = AgentState(id="b", pose=Pose2(9, 0, 0), extent=(4, 2), speed=0)
-        s0 = SimState(step_index=0, agents=(a, b), ego_id="a")
-        s1 = SimState(step_index=1, agents=(a, b), ego_id="a")
-        Episode(dt=0.1, map_id="m", states=(s0, s1))
-        with pytest.raises(ValueError):
-            Episode(dt=0.1, map_id="m", states=(s0, s0))
-        s1_dropped = SimState(step_index=1, agents=(a,), ego_id="a")
-        with pytest.raises(ValueError):
-            Episode(dt=0.1, map_id="m", states=(s0, s1_dropped))
 
 
 class TestObbOverlap:

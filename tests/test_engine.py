@@ -85,11 +85,10 @@ class TestStep:
         s = SimState(0, (car("ego", 150), car("a", 10, speed=8.0), car("b", 30, speed=2.0)), "ego")
         cfg = SimConfig(dt=0.1, seed=0)
         out = step(s, assign_policies(s, pol, {"ego": ConstantVelocityPolicy()}), straight_map, cfg, 1)
-        from drivesim.policies import policy_act
         from drivesim.kinematics import advance
 
         for agent_id in ("a", "b"):
-            frozen_decision = policy_act(pol, agent_id, s, straight_map)
+            frozen_decision = pol.act(agent_id, s, straight_map)
             expected = advance(s.agent(agent_id), frozen_decision.control, 0.1)
             assert out.agent(agent_id) == expected
 
@@ -350,11 +349,10 @@ class TestEgoControllers:
         cfg = SimConfig(dt=0.1, seed=3, control_noise=(0.05, 0.5))
         out = step(s, assign_policies(s, pol), straight_map, cfg, 1)
         from drivesim.kinematics import advance
-        from drivesim.policies import policy_act
 
-        expected = advance(s.ego, policy_act(pol, "ego", s, straight_map).control, 0.1)
+        expected = advance(s.ego, pol.act("ego", s, straight_map).control, 0.1)
         assert out.ego == expected
-        noiseless = advance(s.agent("a"), policy_act(pol, "a", s, straight_map).control, 0.1)
+        noiseless = advance(s.agent("a"), pol.act("a", s, straight_map).control, 0.1)
         assert out.agent("a") != noiseless
 
     def test_inactive_ego_is_rejected(self, straight_map):
@@ -363,4 +361,4 @@ class TestEgoControllers:
         for ego_policy in (ConstantVelocityPolicy(), BrakeToStopPolicy(dt=0.1)):
             policies = assign_policies(s, ConstantVelocityPolicy(), {"ego": ego_policy})
             with pytest.raises(ValueError, match="'ego' is not active"):
-                step(s, policies, straight_map, SimConfig(), 1)
+                unroll(s, policies, straight_map, SimConfig())

@@ -39,8 +39,6 @@ class TestAdvance:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            advance(make_agent(), Control(0.0, 1.0), 0.0)
-        with pytest.raises(ValueError):
             Control(float("nan"), 1.0)
         with pytest.raises(ValueError):
             Control(0.0, -1.0)

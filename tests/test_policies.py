@@ -22,7 +22,6 @@ from drivesim.policies import (
     mlp_loss,
     mlp_loss_and_grads,
     mlp_train,
-    policy_act,
     save_mlp,
 )
 
@@ -38,20 +37,20 @@ def state_of(*agents, ego_id=None, step=0):
 class TestPolicyAct:
     def test_constant_velocity(self, straight_map):
         s = state_of(car("ego", 0), car("a", 10, speed=7.0))
-        d = policy_act(ConstantVelocityPolicy(), "a", s, straight_map)
+        d = ConstantVelocityPolicy().act("a", s, straight_map)
         assert (d.control.phi, d.control.v) == (0.0, 7.0)
         assert d.pose_override is None
 
     def test_unknown_agent_errors(self, straight_map):
         s = state_of(car("ego", 0))
         with pytest.raises(ValueError, match="unknown agent"):
-            policy_act(ConstantVelocityPolicy(), "ghost", s, straight_map)
+            ConstantVelocityPolicy().act("ghost", s, straight_map)
 
     def test_markov_same_state_same_decision(self, straight_map):
         pol = ReactiveFollowPolicy()
         s = state_of(car("ego", 30, speed=0.0), car("a", 10, speed=5.0))
-        d1 = policy_act(pol, "a", s, straight_map)
-        d2 = policy_act(pol, "a", s, straight_map)
+        d1 = pol.act("a", s, straight_map)
+        d2 = pol.act("a", s, straight_map)
         assert d1 == d2
 
 
@@ -65,7 +64,7 @@ class TestLogReplay:
     def test_override_matches_recorded_pose(self, straight_map):
         log = self.make_log(straight_map)
         pol = LogReplayPolicy(log)
-        d = policy_act(pol, "a", log.states[2], straight_map)
+        d = pol.act("a", log.states[2], straight_map)
         assert d.pose_override == log.states[3].agent("a").pose
         assert d.control.v == log.states[3].agent("a").speed
 
@@ -73,7 +72,7 @@ class TestLogReplay:
         log = self.make_log(straight_map)
         pol = LogReplayPolicy(log)
         last = log.states[-1]
-        d = policy_act(pol, "a", last, straight_map)
+        d = pol.act("a", last, straight_map)
         assert d.pose_override == last.agent("a").pose
 
 
@@ -114,7 +113,7 @@ class TestReactiveFollow:
         pol = ReactiveFollowPolicy()
         assert pol.acceleration(0.0, 2.0, 0.0) <= 0.0
         s = state_of(car("ego", 100), car("f", 20, speed=0.0), car("l", 26.5, speed=0.0))
-        d = policy_act(pol, "f", s, straight_map)
+        d = pol.act("f", s, straight_map)
         assert d.control.v == 0.0
 
     def test_holds_near_free_speed(self):
@@ -127,7 +126,7 @@ class TestReactiveFollow:
     def test_brakes_behind_static_lead(self, straight_map):
         pol = ReactiveFollowPolicy()
         s = state_of(car("ego", 100), car("f", 20, speed=8.0), car("l", 29.5, speed=0.0))
-        d = policy_act(pol, "f", s, straight_map)
+        d = pol.act("f", s, straight_map)
         assert d.control.v < 8.0
 
     def test_no_lane_falls_back_to_constant(self):
@@ -135,7 +134,7 @@ class TestReactiveFollow:
 
         pol = ReactiveFollowPolicy()
         s = state_of(car("ego", 0), car("f", 10, speed=6.0))
-        d = policy_act(pol, "f", s, SemanticMap(lanes=()))
+        d = pol.act("f", s, SemanticMap(lanes=()))
         assert (d.control.phi, d.control.v) == (0.0, 6.0)
 
     def test_never_collides_with_safe_initial_gap(self, straight_map):
@@ -149,7 +148,7 @@ class TestReactiveFollow:
         lead = car("l", 20 + 4.5 + gap, speed=0.0)
         s = state_of(car("ego", 150), follower, lead)
         for t in range(1, 200):
-            d = policy_act(pol, "f", s, straight_map)
+            d = pol.act("f", s, straight_map)
             follower = advance(s.agent("f"), d.control, 0.1)
             s = SimState(step_index=t, agents=(s.agent("ego"), follower, lead), ego_id="ego")
             assert not obb_overlap(agent_obb(follower), agent_obb(lead))
@@ -160,7 +159,7 @@ class TestPathOverride:
         path = np.array([[0.0, 0.0], [100.0, 0.0]])
         pol = PathOverridePolicy(ConstantVelocityPolicy(), path)
         s = state_of(car("ego", 90), car("a", 10, speed=5.0))
-        d = policy_act(pol, "a", s, straight_map)
+        d = pol.act("a", s, straight_map)
         assert d.control.phi == pytest.approx(0.0, abs=1e-9)
         assert d.control.v == 5.0
 
@@ -168,21 +167,21 @@ class TestPathOverride:
         path = np.array([[0.0, 0.0], [10.0, 0.0], [15.0, 3.0], [18.0, 8.0]])
         pol = PathOverridePolicy(ConstantVelocityPolicy(), path)
         s = state_of(car("ego", 90), car("a", 8.0, speed=5.0))
-        d = policy_act(pol, "a", s, straight_map)
+        d = pol.act("a", s, straight_map)
         assert d.control.phi > 0.0
 
     def test_beyond_end_holds_heading(self, straight_map):
         path = np.array([[0.0, 0.0], [10.0, 0.0]])
         pol = PathOverridePolicy(ConstantVelocityPolicy(), path)
         s = state_of(car("ego", 90), car("a", 15.0, speed=5.0))
-        d = policy_act(pol, "a", s, straight_map)
+        d = pol.act("a", s, straight_map)
         assert d.control.phi == 0.0 and d.control.v == 5.0
 
     def test_reactive_inner_decelerates_on_path(self, straight_map):
         path = np.array([[0.0, 0.0], [100.0, 0.0]])
         pol = PathOverridePolicy(ReactiveFollowPolicy(), path)
         s = state_of(car("ego", 100), car("a", 20, speed=8.0), car("l", 30.0, speed=0.0))
-        d = policy_act(pol, "a", s, straight_map)
+        d = pol.act("a", s, straight_map)
         assert d.control.v < 8.0  # braking decision passes through the wrapper
         assert abs(d.control.phi) < 1e-6
 
@@ -430,6 +429,6 @@ class TestMlpPolicy:
     def test_acts_with_bounded_controls(self, straight_map):
         pol = MlpPolicy(init_mlp(seed=41), FeatureExtractor(dt=0.1))
         s = state_of(car("ego", 50), car("a", 10, speed=4.0))
-        d = policy_act(pol, "a", s, straight_map)
+        d = pol.act("a", s, straight_map)
         assert abs(d.control.phi) <= pol.mlp.phi_max
         assert 0 <= d.control.v <= pol.mlp.v_max
